@@ -17,18 +17,65 @@
 //! dependence of dynamic power, and data-dependent switching.
 
 use crate::common::{Context, Scale};
-use ppep_models::idle::IdlePowerModel;
-use ppep_models::trainer::TrainedModels;
-use ppep_rig::TrainingRig;
+use ppep_models::trainer::{TrainedModels, TrainingBudget};
+use ppep_rig::{shard, TrainingRig};
 use ppep_sim::chip::SimConfig;
-use ppep_types::Result;
+use ppep_types::{Result, VfStateId};
 use ppep_workloads::WorkloadSpec;
+
+/// One ablation configuration: which instrument non-idealities the
+/// simulator drops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ablation {
+    /// The realistic simulator: multiplexed PMU, noisy power sensor.
+    Realistic,
+    /// All 12 events observed continuously.
+    IdealPmu,
+    /// Noise-free power measurements.
+    IdealSensor,
+    /// Both of the above.
+    Both,
+}
+
+impl Ablation {
+    /// Every configuration, in table order (realistic first).
+    pub const ALL: [Self; 4] = [
+        Self::Realistic,
+        Self::IdealPmu,
+        Self::IdealSensor,
+        Self::Both,
+    ];
+
+    /// The configuration's label in the table and `ablations.csv`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Self::Realistic => "realistic",
+            Self::IdealPmu => "ideal_pmu",
+            Self::IdealSensor => "ideal_sensor",
+            Self::Both => "both",
+        }
+    }
+
+    fn config(self, seed: u64) -> SimConfig {
+        let mut cfg = SimConfig::fx8320(seed);
+        match self {
+            Self::Realistic => {}
+            Self::IdealPmu => cfg.ideal_pmu = true,
+            Self::IdealSensor => cfg.ideal_sensor = true,
+            Self::Both => {
+                cfg.ideal_pmu = true;
+                cfg.ideal_sensor = true;
+            }
+        }
+        cfg
+    }
+}
 
 /// One ablation configuration's measured error.
 #[derive(Debug, Clone)]
 pub struct AblationPoint {
-    /// Configuration label.
-    pub label: &'static str,
+    /// The configuration.
+    pub ablation: Ablation,
     /// Chip-power estimation AAE over the validation runs.
     pub chip_aae: f64,
     /// Dynamic-power estimation AAE.
@@ -42,55 +89,35 @@ pub struct AblationResult {
     pub points: Vec<AblationPoint>,
 }
 
-fn config_for(label: &str, seed: u64) -> SimConfig {
-    let mut cfg = SimConfig::fx8320(seed);
-    match label {
-        "realistic" => {}
-        "ideal_pmu" => cfg.ideal_pmu = true,
-        "ideal_sensor" => cfg.ideal_sensor = true,
-        "both" => {
-            cfg.ideal_pmu = true;
-            cfg.ideal_sensor = true;
-        }
-        other => unreachable!("unknown ablation label {other}"),
-    }
-    cfg
-}
-
-fn validate(
+/// One validation run, reduced to its chip and dynamic relative
+/// errors.
+fn run_errors(
     rig: &TrainingRig,
     models: &TrainedModels,
-    idle: &IdlePowerModel,
-    specs: &[WorkloadSpec],
-    budget: &ppep_models::trainer::TrainingBudget,
-) -> Result<(f64, f64)> {
-    let table = models.vf_table().clone();
+    spec: &WorkloadSpec,
+    vf: VfStateId,
+    budget: &TrainingBudget,
+) -> Result<(Vec<f64>, Vec<f64>)> {
+    let table = models.vf_table();
+    let idle = models.idle_model();
+    let voltage = table.point(vf).voltage;
     let mut chip_errs = Vec::new();
     let mut dyn_errs = Vec::new();
-    for spec in specs {
-        for vf in table.states() {
-            let trace = rig.collect_run(spec, vf, budget);
-            let voltage = table.point(vf).voltage;
-            for r in &trace.records {
-                let idle_w = idle.estimate(voltage, r.temperature)?.as_watts();
-                let sample = TrainingRig::dyn_sample_from(r, idle, &table)?;
-                let est_dyn = models
-                    .dynamic_model()
-                    .estimate_core(&sample.rates, voltage)?
-                    .as_watts();
-                let measured = r.measured_power.as_watts();
-                let measured_dyn = measured - idle_w;
-                if measured_dyn > 0.5 {
-                    dyn_errs.push((est_dyn - measured_dyn).abs() / measured_dyn);
-                }
-                chip_errs.push((idle_w + est_dyn - measured).abs() / measured);
-            }
+    for r in &rig.collect_run(spec, vf, budget).records {
+        let idle_w = idle.estimate(voltage, r.temperature)?.as_watts();
+        let sample = TrainingRig::dyn_sample_from(r, idle, table)?;
+        let est_dyn = models
+            .dynamic_model()
+            .estimate_core(&sample.rates, voltage)?
+            .as_watts();
+        let measured = r.measured_power.as_watts();
+        let measured_dyn = measured - idle_w;
+        if measured_dyn > 0.5 {
+            dyn_errs.push((est_dyn - measured_dyn).abs() / measured_dyn);
         }
+        chip_errs.push((idle_w + est_dyn - measured).abs() / measured);
     }
-    Ok((
-        ppep_regress::stats::mean(&chip_errs),
-        ppep_regress::stats::mean(&dyn_errs),
-    ))
+    Ok((chip_errs, dyn_errs))
 }
 
 /// Runs all four ablation configurations.
@@ -100,6 +127,9 @@ fn validate(
 /// isolates the instrument and voltage-scaling error contributions
 /// from workload-generalisation effects (which Fig. 2's
 /// cross-validation measures instead).
+///
+/// The four trainings shard across the context's workers, then so do
+/// all configurations' validation runs together.
 ///
 /// # Errors
 ///
@@ -112,16 +142,42 @@ pub fn run(ctx: &Context) -> Result<AblationResult> {
         Scale::Quick => roster.iter().take(8).cloned().collect(),
     };
 
-    let mut points = Vec::new();
-    for label in ["realistic", "ideal_pmu", "ideal_sensor", "both"] {
-        let rig = TrainingRig::with_config(config_for(label, ctx.seed), ctx.seed);
+    let trained = shard::map(&Ablation::ALL, ctx.jobs, |&ablation| {
+        let rig = TrainingRig::with_config(ablation.config(ctx.seed), ctx.seed);
         let models = rig.train(&train, &budget)?;
-        let idle = models.idle_model().clone();
-        let (chip_aae, dynamic_aae) = validate(&rig, &models, &idle, &train, &budget)?;
+        Ok((ablation, rig, models))
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
+
+    // Configuration-major, then workload, then VF state.
+    let cells: Vec<_> = trained
+        .iter()
+        .flat_map(|(_, rig, models)| {
+            train.iter().flat_map(move |spec| {
+                models
+                    .vf_table()
+                    .states()
+                    .map(move |vf| (rig, models, spec, vf))
+            })
+        })
+        .collect();
+    let mut errors = shard::map(&cells, ctx.jobs, |&(rig, models, spec, vf)| {
+        run_errors(rig, models, spec, vf, &budget)
+    })
+    .into_iter();
+    let mut points = Vec::new();
+    for (ablation, _, models) in &trained {
+        let (mut chip_errs, mut dyn_errs) = (Vec::new(), Vec::new());
+        for cell in errors.by_ref().take(train.len() * models.vf_table().len()) {
+            let (chip, dynamic) = cell?;
+            chip_errs.extend(chip);
+            dyn_errs.extend(dynamic);
+        }
         points.push(AblationPoint {
-            label,
-            chip_aae,
-            dynamic_aae,
+            ablation: *ablation,
+            chip_aae: ppep_regress::stats::mean(&chip_errs),
+            dynamic_aae: ppep_regress::stats::mean(&dyn_errs),
         });
     }
     Ok(AblationResult { points })
@@ -135,7 +191,7 @@ pub fn print(result: &AblationResult) {
         .iter()
         .map(|p| {
             vec![
-                p.label.to_string(),
+                p.ablation.label().to_string(),
                 crate::common::pct(p.chip_aae),
                 crate::common::pct(p.dynamic_aae),
             ]
@@ -143,8 +199,11 @@ pub fn print(result: &AblationResult) {
         .collect();
     crate::common::print_table(&["configuration", "chip AAE", "dynamic AAE"], &rows);
     if let (Some(real), Some(both)) = (
-        result.points.iter().find(|p| p.label == "realistic"),
-        result.points.iter().find(|p| p.label == "both"),
+        result
+            .points
+            .iter()
+            .find(|p| p.ablation == Ablation::Realistic),
+        result.points.iter().find(|p| p.ablation == Ablation::Both),
     ) {
         println!(
             "structural (model-form) error floor: {} of the {} total",
@@ -164,14 +223,14 @@ mod tests {
         let ctx = Context::fx8320(Scale::Quick, DEFAULT_SEED);
         let r = run(&ctx).unwrap();
         assert_eq!(r.points.len(), 4);
-        let get = |label: &str| {
+        let get = |ablation: Ablation| {
             r.points
                 .iter()
-                .find(|p| p.label == label)
-                .unwrap_or_else(|| panic!("missing {label}"))
+                .find(|p| p.ablation == ablation)
+                .unwrap_or_else(|| panic!("missing {ablation:?}"))
         };
-        let realistic = get("realistic");
-        let both = get("both");
+        let realistic = get(Ablation::Realistic);
+        let both = get(Ablation::Both);
         // Removing both instrument non-idealities must not hurt.
         assert!(
             both.chip_aae <= realistic.chip_aae * 1.05,
@@ -190,7 +249,7 @@ mod tests {
             assert!(
                 p.chip_aae < p.dynamic_aae,
                 "{}: chip must beat dynamic",
-                p.label
+                p.ablation.label()
             );
         }
     }

@@ -6,7 +6,7 @@ use ppep_models::idle::IdlePowerModel;
 use ppep_models::trainer::{ComboTrace, TrainingBudget};
 use ppep_models::DynamicPowerModel;
 use ppep_regress::KFold;
-use ppep_rig::TrainingRig;
+use ppep_rig::{shard, TrainingRig};
 use ppep_types::{Result, VfStateId, Watts};
 use ppep_workloads::combos::{full_roster, npb_runs, parsec_runs, spec_combos};
 use ppep_workloads::{Suite, WorkloadSpec};
@@ -66,13 +66,15 @@ impl Scale {
 /// A ready-to-run experiment context: the platform rig and scale.
 #[derive(Debug, Clone)]
 pub struct Context {
-    /// The training/collection rig.
+    /// The training/collection rig; [`Context::with_jobs`] keeps its
+    /// worker count equal to [`Context::jobs`].
     pub rig: TrainingRig,
     /// The scale preset.
     pub scale: Scale,
     /// The global seed.
     pub seed: u64,
-    /// Worker threads for the sweep collections (`--jobs`; 1 = serial).
+    /// Sweep workers (`--jobs`; 1 = serial): the calling thread plus
+    /// `jobs - 1` scoped threads.
     pub jobs: usize,
     /// Projection kernel every engine this context builds routes
     /// through (`--kernel`; batch by default).
@@ -102,10 +104,12 @@ impl Context {
         }
     }
 
-    /// Sets the sweep worker count (clamped to at least 1).
+    /// Sets the sweep worker count (clamped to at least 1), for this
+    /// context's sweeps and its rig's.
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
+        self.rig = self.rig.with_jobs(self.jobs);
         self
     }
 
@@ -134,7 +138,7 @@ impl Context {
         let roster = self.scale.roster(self.seed);
         let budget = self.scale.budget();
         let models = self.rig.train(&roster, &budget)?;
-        let sweep = self.rig.collect_pg_sweep(&budget);
+        let sweep = self.rig.collect_pg_sweep(&budget)?;
         let pg = ppep_models::pg::PgIdleModel::fit(&sweep, self.rig.config().topology.cu_count())?;
         Ok(models.with_pg(pg))
     }
@@ -170,14 +174,12 @@ impl TraceStore {
         budget: &TrainingBudget,
         jobs: usize,
     ) -> Self {
-        let cells = roster.len() * vfs.len();
-        let (traces, _obs) = crate::fleet::map_indexed(cells, jobs, |index, rec| {
-            // Row-major over the roster: index = spec * vfs.len() + vf.
-            let spec = &roster[index / vfs.len().max(1)];
-            let vf = vfs[index % vfs.len().max(1)];
-            let trace = rig.collect_run(spec, vf, budget);
-            rec.add("fleet.cells", 1);
-            trace
+        let cells: Vec<(&WorkloadSpec, VfStateId)> = roster
+            .iter()
+            .flat_map(|spec| vfs.iter().map(move |&vf| (spec, vf)))
+            .collect();
+        let traces = shard::map(&cells, jobs, |&(spec, vf)| {
+            rig.collect_run(spec, vf, budget)
         });
         Self { traces }
     }

@@ -10,6 +10,7 @@ use crate::common::Context;
 use ppep_models::cpi::{segment_aligned_errors, CpiObservation};
 use ppep_models::trainer::ComboTrace;
 use ppep_pmc::EventId;
+use ppep_rig::shard;
 use ppep_types::{Gigahertz, Result, VfStateId};
 use ppep_workloads::combos::single_threaded_52;
 
@@ -76,24 +77,28 @@ pub fn run_between(ctx: &Context, hi: VfStateId, lo: VfStateId) -> Result<CpiAcc
             .collect(),
     };
 
-    let mut benchmarks = Vec::new();
-    for spec in &roster {
+    // One cell per benchmark: both runs, reduced to its errors.
+    let cells = shard::map(&roster, ctx.jobs, |spec| {
         let hi_trace = ctx.rig.collect_run(spec, hi, &budget);
         let lo_trace = ctx.rig.collect_run(spec, lo, &budget);
         let hi_tuples = trace_tuples(&hi_trace, f_hi);
         let lo_tuples = trace_tuples(&lo_trace, f_lo);
         if hi_tuples.len() < 2 || lo_tuples.len() < 2 {
-            continue; // a short benchmark finished during warm-up
+            return Ok(None); // a short benchmark finished during warm-up
         }
         // Segment length: a few intervals' worth of the slower run.
         let seg = lo_tuples.iter().map(|(n, _)| n).sum::<f64>() / lo_tuples.len() as f64;
         let down = segment_aligned_errors(&hi_tuples, &lo_tuples, f_lo, seg)?;
         let up = segment_aligned_errors(&lo_tuples, &hi_tuples, f_hi, seg)?;
-        benchmarks.push(BenchCpiError {
+        Ok(Some(BenchCpiError {
             name: spec.name().to_string(),
             down_error: ppep_regress::stats::mean(&down),
             up_error: ppep_regress::stats::mean(&up),
-        });
+        }))
+    });
+    let mut benchmarks = Vec::new();
+    for cell in cells {
+        benchmarks.extend(cell?);
     }
 
     let downs: Vec<f64> = benchmarks.iter().map(|b| b.down_error).collect();

@@ -26,7 +26,7 @@ pub struct Fig04Result {
 /// Propagates fitting errors.
 pub fn run(ctx: &Context) -> Result<Fig04Result> {
     let budget = ctx.scale.budget();
-    let sweep = ctx.rig.collect_pg_sweep(&budget);
+    let sweep = ctx.rig.collect_pg_sweep(&budget)?;
     let model = PgIdleModel::fit(&sweep, ctx.rig.config().topology.cu_count())?;
     let peak_w = sweep.iter().map(|p| p.power.as_watts()).fold(0.0, f64::max);
     Ok(Fig04Result {

@@ -6,8 +6,10 @@
 
 use crate::common::Context;
 use ppep_core::energy::EnergyPredictor;
+use ppep_rig::shard;
 use ppep_types::{Result, VfStateId};
 use ppep_workloads::combos::spec_combos;
+use ppep_workloads::WorkloadSpec;
 
 /// Per-combo energy prediction error at VF5.
 #[derive(Debug, Clone)]
@@ -60,8 +62,8 @@ pub fn run(ctx: &Context) -> Result<Fig06Result> {
     // VF5 per-combo comparison (the traces shard across workers; the
     // error evaluation stays on this thread).
     let vf5 = table.highest();
-    let (traces, _obs) = crate::fleet::map_indexed(roster.len(), ctx.jobs, |i, _| {
-        ctx.rig.collect_run(&roster[i], vf5, &budget)
+    let traces = shard::map(&roster, ctx.jobs, |spec| {
+        ctx.rig.collect_run(spec, vf5, &budget)
     });
     let mut combos = Vec::new();
     for (spec, trace) in roster.iter().zip(&traces) {
@@ -80,10 +82,11 @@ pub fn run(ctx: &Context) -> Result<Fig06Result> {
     // number per state).
     let sub_roster: Vec<_> = roster.iter().step_by(4).cloned().collect();
     let states: Vec<VfStateId> = table.states().collect();
-    let cells = states.len() * sub_roster.len();
-    let (vf_traces, _obs) = crate::fleet::map_indexed(cells, ctx.jobs, |index, _| {
-        let vf = states[index / sub_roster.len().max(1)];
-        let spec = &sub_roster[index % sub_roster.len().max(1)];
+    let cells: Vec<(VfStateId, &WorkloadSpec)> = states
+        .iter()
+        .flat_map(|&vf| sub_roster.iter().map(move |spec| (vf, spec)))
+        .collect();
+    let vf_traces = shard::map(&cells, ctx.jobs, |&(vf, spec)| {
         ctx.rig.collect_run(spec, vf, &budget)
     });
     let mut ppep_per_vf = Vec::new();

@@ -7,7 +7,7 @@
 
 use crate::common::Context;
 use ppep_models::idle::IdlePowerModel;
-use ppep_rig::TrainingRig;
+use ppep_rig::{shard, TrainingRig};
 use ppep_types::{Result, VfStateId};
 
 /// The experiment's result.
@@ -34,17 +34,18 @@ pub fn run(ctx: &Context) -> Result<IdleAccuracyResult> {
         2 => TrainingRig::fx8320(ctx.seed ^ 0xDEAD),
         _ => TrainingRig::phenom_ii_x6(ctx.seed ^ 0xDEAD),
     };
-    let table = ctx.rig.config().topology.vf_table().clone();
-    let mut per_vf = Vec::with_capacity(table.len());
-    for vf in table.states() {
+    let states: Vec<VfStateId> = ctx.rig.config().topology.vf_table().states().collect();
+    let per_vf = shard::map(&states, ctx.jobs, |&vf| {
         let (samples, _) = test_rig.collect_idle_trace_at(vf, &budget);
         let mut errors = Vec::with_capacity(samples.len());
         for s in &samples {
             let est = model.estimate(s.voltage, s.temperature)?.as_watts();
             errors.push((est - s.power.as_watts()).abs() / s.power.as_watts());
         }
-        per_vf.push((vf, ppep_regress::stats::mean(&errors)));
-    }
+        Ok((vf, ppep_regress::stats::mean(&errors)))
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
     let mean = ppep_regress::stats::mean(&per_vf.iter().map(|(_, e)| *e).collect::<Vec<_>>());
     Ok(IdleAccuracyResult { per_vf, mean })
 }

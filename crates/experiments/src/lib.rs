@@ -31,9 +31,11 @@
 //! | [`serve`] | multi-tenant capping service: clean hosting, chaos containment gate, concurrent load generation (beyond the paper) |
 //! | [`accuracy_watch`] | prediction-accuracy scorecard, drift trip-wires, and the clean-trace error gate (beyond the paper) |
 //!
-//! The paper-scale sweeps shard across cores through [`fleet`]
-//! (`--jobs N` on the binary); results are identical for any worker
-//! count.
+//! Every simulator sweep — the paper-scale rosters and the training,
+//! calibration, PG, CPI, observation, idle and ablation sweeps —
+//! shards across the context's workers through
+//! [`ppep_rig::shard::map`] (`--jobs N` on the binary);
+//! results are identical for any worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,7 +56,6 @@ pub mod fig07_capping;
 pub mod fig08_09_background;
 pub mod fig10_nb_share;
 pub mod fig11_nb_dvfs;
-pub mod fleet;
 pub mod idle_accuracy;
 pub mod kernel_bench;
 pub mod observations;

@@ -14,9 +14,11 @@
 //! configuration the test suite and benches run); the default is the
 //! paper-sized full configuration.
 //!
-//! `--jobs N` shards the sweep collections (Figs. 2/3/6, phenom,
-//! summary) across `N` worker threads; `--jobs 0` means "all cores".
-//! Results are identical for every worker count.
+//! `--jobs N` shards every simulator sweep — model training, α
+//! calibration, the PG sweep, the CPI, observation, idle and ablation
+//! studies, and the Figs. 2/3/6, phenom and summary rosters — across
+//! `N` workers (the calling thread plus `N - 1` threads); `--jobs 0`
+//! means "all cores". Results are identical for every worker count.
 //!
 //! `--kernel scalar|batch` selects the projection kernel every
 //! experiment engine routes through (default: batch). The kernels are
@@ -42,6 +44,7 @@
 use ppep_experiments::common::{Context, Scale, DEFAULT_SEED};
 use ppep_experiments::diff_policies::PolicyKind;
 use ppep_experiments::*;
+use ppep_rig::shard::default_jobs;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -104,7 +107,7 @@ fn main() -> ExitCode {
                 let Some(v) = args.next().and_then(|s| s.parse::<usize>().ok()) else {
                     return usage();
                 };
-                jobs = if v == 0 { fleet::default_jobs() } else { v };
+                jobs = if v == 0 { default_jobs() } else { v };
             }
             "--kernel" => {
                 let Some(k) = args.next().and_then(|s| s.parse().ok()) else {

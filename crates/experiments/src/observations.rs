@@ -9,6 +9,7 @@
 use crate::common::Context;
 use ppep_models::trainer::ComboTrace;
 use ppep_pmc::events::EventId;
+use ppep_rig::shard;
 use ppep_types::Result;
 use ppep_workloads::combos::single_threaded_52;
 
@@ -59,6 +60,14 @@ fn mean_gap(trace: &ComboTrace) -> Option<f64> {
     (!gaps.is_empty()).then(|| ppep_regress::stats::mean(&gaps))
 }
 
+/// `|a − b| / a`, when both values exist and `a` is positive.
+fn relative_delta(a: Option<f64>, b: Option<f64>) -> Option<f64> {
+    match (a, b) {
+        (Some(a), Some(b)) if a > 0.0 => Some((a - b).abs() / a),
+        _ => None,
+    }
+}
+
 /// Runs the observation study (VF5 vs. VF2, as in the paper).
 ///
 /// # Errors
@@ -78,23 +87,21 @@ pub fn run(ctx: &Context) -> Result<ObservationsResult> {
             .collect(),
     };
 
-    let mut per_event_deltas: Vec<Vec<f64>> = vec![Vec::new(); OBS1_EVENTS.len()];
-    let mut gap_deltas = Vec::new();
-    for spec in &roster {
+    // One cell per benchmark: both runs, reduced to its deltas.
+    let cells = shard::map(&roster, ctx.jobs, |spec| {
         let hi = ctx.rig.collect_run(spec, vf5, &budget);
         let lo = ctx.rig.collect_run(spec, vf2, &budget);
-        for (i, &event) in OBS1_EVENTS.iter().enumerate() {
-            if let (Some(a), Some(b)) = (mean_per_inst(&hi, event), mean_per_inst(&lo, event)) {
-                if a > 0.0 {
-                    per_event_deltas[i].push((a - b).abs() / a);
-                }
-            }
+        let event_deltas = OBS1_EVENTS
+            .map(|event| relative_delta(mean_per_inst(&hi, event), mean_per_inst(&lo, event)));
+        (event_deltas, relative_delta(mean_gap(&hi), mean_gap(&lo)))
+    });
+    let mut per_event_deltas: Vec<Vec<f64>> = vec![Vec::new(); OBS1_EVENTS.len()];
+    let mut gap_deltas = Vec::new();
+    for (event_deltas, gap_delta) in cells {
+        for (deltas, delta) in per_event_deltas.iter_mut().zip(event_deltas) {
+            deltas.extend(delta);
         }
-        if let (Some(ga), Some(gb)) = (mean_gap(&hi), mean_gap(&lo)) {
-            if ga > 0.0 {
-                gap_deltas.push((ga - gb).abs() / ga);
-            }
-        }
+        gap_deltas.extend(gap_delta);
     }
     if gap_deltas.is_empty() {
         return Err(ppep_types::Error::InvalidInput(

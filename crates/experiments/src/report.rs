@@ -236,7 +236,7 @@ pub fn ablations_csv(r: &ablations::AblationResult) -> String {
         .iter()
         .map(|p| {
             vec![
-                p.label.to_string(),
+                p.ablation.label().to_string(),
                 format!("{:.6}", p.chip_aae),
                 format!("{:.6}", p.dynamic_aae),
             ]

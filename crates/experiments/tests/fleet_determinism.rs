@@ -1,12 +1,14 @@
-//! Property: the fleet-sharded sweeps are invariant under the worker
-//! count — `--jobs 1`, `--jobs 2`, and `--jobs N` must produce
-//! identical traces and byte-identical derived CSVs — and under the
+//! Property: the sharded sweeps are invariant under the worker count —
+//! `--jobs 1`, `--jobs 2`, and `--jobs N` must produce identical
+//! traces, results and byte-identical derived CSVs — and under the
 //! projection kernel (`--kernel scalar|batch`), since the kernels are
 //! contractually bit-identical.
 
 use ppep_core::ProjectionKernel;
 use ppep_experiments::common::{Context, Scale, TraceStore, DEFAULT_SEED};
-use ppep_experiments::{fig02_model_error, fleet, report};
+use ppep_experiments::{
+    ablations, cpi_accuracy, fig02_model_error, idle_accuracy, observations, report,
+};
 use ppep_models::trainer::TrainingBudget;
 use ppep_types::VfStateId;
 use ppep_workloads::combos::instances;
@@ -42,12 +44,13 @@ proptest! {
     }
 
     #[test]
-    fn map_indexed_preserves_order_under_any_worker_count(
+    fn shard_map_preserves_order_under_any_worker_count(
         items in 0usize..120,
         jobs in 1usize..17,
     ) {
-        let expected: Vec<usize> = (0..items).map(|i| i.wrapping_mul(7)).collect();
-        let (got, _) = fleet::map_indexed(items, jobs, |i, _| i.wrapping_mul(7));
+        let cells: Vec<usize> = (0..items).collect();
+        let expected: Vec<usize> = cells.iter().map(|i| i.wrapping_mul(7)).collect();
+        let got = ppep_rig::shard::map(&cells, jobs, |i| i.wrapping_mul(7));
         prop_assert_eq!(got, expected);
     }
 
@@ -128,5 +131,25 @@ fn fig02_csv_is_byte_identical_across_worker_counts_and_kernels() {
                 "fig2.csv drifted at jobs={jobs} kernel={kernel}"
             ),
         }
+    }
+}
+
+/// The studies that shard their own cells give the same results at
+/// one and three workers. `Debug` prints every `f64` exactly, so equal
+/// strings mean bit-equal results.
+#[test]
+fn sharded_studies_are_identical_at_1_and_3_jobs() {
+    let studies = |jobs: usize| {
+        let ctx = Context::fx8320(Scale::Quick, DEFAULT_SEED).with_jobs(jobs);
+        [
+            format!("{:?}", cpi_accuracy::run(&ctx).expect("cpi study")),
+            format!("{:?}", observations::run(&ctx).expect("observations")),
+            format!("{:?}", idle_accuracy::run(&ctx).expect("idle study")),
+            format!("{:?}", ablations::run(&ctx).expect("ablations")),
+        ]
+    };
+    let serial = studies(1);
+    for (serial, sharded) in serial.iter().zip(studies(3)) {
+        assert_eq!(*serial, sharded);
     }
 }

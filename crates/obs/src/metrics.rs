@@ -214,17 +214,6 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Folds a foreign histogram into the named one (cloning it on
-    /// first sight). Used when merging per-worker recorders.
-    pub fn merge_histogram(&mut self, name: &str, other: &Histogram) {
-        match self.histograms.get_mut(name) {
-            Some(h) => h.merge(other),
-            None => {
-                self.histograms.insert(name.to_string(), other.clone());
-            }
-        }
-    }
-
     /// All counters in name order.
     pub fn counters(&self) -> &BTreeMap<String, u64> {
         &self.counters

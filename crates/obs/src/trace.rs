@@ -56,40 +56,6 @@ impl TraceRecorder {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Folds another recorder's snapshot into this one: spans and
-    /// events are appended (their timestamps stay relative to the
-    /// *source* recorder's epoch — ordering across workers is not
-    /// meaningful, durations and histograms are), counters are added,
-    /// gauges take the incoming value, and histograms merge
-    /// bucket-wise. This is how a fleet of worker recorders collapses
-    /// into one profile at join.
-    pub fn absorb(&self, snap: &TraceSnapshot) {
-        let mut inner = self.lock();
-        for s in &snap.spans {
-            // Push straight into the ring: `record_span` would feed the
-            // `stage.*` histograms a second time, double-counting the
-            // merged histogram entries below.
-            inner.ring.push(s.stage, s.interval, s.start_ns, s.dur_ns);
-        }
-        for e in &snap.events {
-            if inner.events.len() == inner.event_capacity {
-                inner.events.pop_front();
-                inner.events_evicted += 1;
-            }
-            inner.events.push_back(e.clone());
-        }
-        inner.events_evicted += snap.events_evicted;
-        for (name, v) in &snap.counters {
-            inner.metrics.add(name, *v);
-        }
-        for (name, v) in &snap.gauges {
-            inner.metrics.set_gauge(name, *v);
-        }
-        for (name, h) in &snap.histograms {
-            inner.metrics.merge_histogram(name, h);
-        }
-    }
-
     /// A consistent copy of everything recorded so far.
     pub fn snapshot(&self) -> TraceSnapshot {
         let inner = self.lock();
@@ -233,33 +199,6 @@ mod tests {
         let a = rec.now_ns();
         let b = rec.now_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn absorb_merges_worker_recorders() {
-        let master = TraceRecorder::new();
-        master.record_span(Stage::Decide, 0, 0, 5_000);
-        master.add("fleet.combos", 1);
-
-        let worker = TraceRecorder::new();
-        worker.record_span(Stage::Decide, 1, 0, 15_000);
-        worker.record_span(Stage::Apply, 1, 20, 1_000);
-        worker.add("fleet.combos", 2);
-        worker.event("fleet.shard_done", 1);
-        worker.set_gauge("fleet.jobs", 4.0);
-
-        master.absorb(&worker.snapshot());
-        let snap = master.snapshot();
-        assert_eq!(snap.spans.len(), 3);
-        assert_eq!(snap.counter("fleet.combos"), 3);
-        assert_eq!(snap.counter("event.fleet.shard_done"), 1);
-        assert_eq!(snap.events.len(), 1);
-        assert_eq!(snap.gauges.get("fleet.jobs"), Some(&4.0));
-        // The merged stage histogram sums both recorders exactly.
-        let decide = snap.stage_histogram(Stage::Decide).unwrap();
-        assert_eq!(decide.count(), 2);
-        assert_eq!(decide.max(), 15.0);
-        assert_eq!(snap.stage_histogram(Stage::Apply).unwrap().count(), 1);
     }
 
     #[test]

@@ -20,9 +20,19 @@
 //! 4. **Green Governors baseline** — same data, single `IPS·V²f`
 //!    regressor and a temperature-blind static table.
 //! 5. **PG decomposition** (optional) — the Fig. 4 busy-CU sweep.
+//!
+//! Every simulator run of these steps is an independent, freshly
+//! seeded cell, so the rig shards each sweep across its worker count
+//! ([`TrainingRig::with_jobs`]) through [`shard::map`]. Each
+//! cell reduces its own trace to the samples it contributes and the
+//! results are combined in cell order: every fit sees the same inputs
+//! in the same order, and the trained models are bit-identical for any
+//! worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod shard;
 
 use ppep_models::dynamic::{estimate_alpha, DynSample, DynamicPowerModel};
 use ppep_models::green_governors::{GgSample, GreenGovernors};
@@ -32,7 +42,7 @@ use ppep_models::trainer::{ComboTrace, TrainedModels, TrainingBudget, DEFAULT_RI
 use ppep_models::ChipPowerModel;
 use ppep_sim::chip::{ChipSimulator, SimConfig};
 use ppep_telemetry::IntervalRecord;
-use ppep_types::{Result, VfStateId, VfTable, Watts};
+use ppep_types::{Error, Result, VfStateId, VfTable, Watts};
 use ppep_workloads::combos::{instances, spec_combos};
 use ppep_workloads::suites::bench_a;
 use ppep_workloads::{Suite, WorkloadSpec};
@@ -42,28 +52,36 @@ use ppep_workloads::{Suite, WorkloadSpec};
 pub struct TrainingRig {
     config: SimConfig,
     seed: u64,
+    jobs: usize,
 }
 
 impl TrainingRig {
     /// A rig for the FX-8320 platform (PG disabled, as in §IV-A..C).
     pub fn fx8320(seed: u64) -> Self {
-        Self {
-            config: SimConfig::fx8320(seed),
-            seed,
-        }
+        Self::with_config(SimConfig::fx8320(seed), seed)
     }
 
     /// A rig for the Phenom™ II X6 validation platform.
     pub fn phenom_ii_x6(seed: u64) -> Self {
-        Self {
-            config: SimConfig::phenom_ii_x6(seed),
-            seed,
-        }
+        Self::with_config(SimConfig::phenom_ii_x6(seed), seed)
     }
 
     /// A rig with a custom simulator configuration.
     pub fn with_config(config: SimConfig, seed: u64) -> Self {
-        Self { config, seed }
+        Self {
+            config,
+            seed,
+            jobs: 1,
+        }
+    }
+
+    /// Sets how many workers each sweep shards its simulator runs
+    /// across (clamped to at least 1; the default 1 is serial).
+    /// Results are bit-identical for every worker count.
+    #[must_use]
+    pub fn with_jobs(mut self, jobs: usize) -> Self {
+        self.jobs = jobs.max(1);
+        self
     }
 
     /// The rig's base simulator configuration.
@@ -95,12 +113,13 @@ impl TrainingRig {
 
     /// Collects the Fig. 1 heat/cool idle traces at every VF state.
     pub fn collect_idle_traces(&self, budget: &TrainingBudget) -> Vec<IdleSample> {
-        let table = self.config.topology.vf_table().clone();
-        let mut out = Vec::new();
-        for vf in table.states() {
-            out.extend(self.collect_idle_trace_at(vf, budget).0);
-        }
-        out
+        let states: Vec<VfStateId> = self.config.topology.vf_table().states().collect();
+        shard::map(&states, self.jobs, |&vf| {
+            self.collect_idle_trace_at(vf, budget).0
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// Heat-then-cool at one VF state. Returns the idle samples (from
@@ -147,11 +166,14 @@ impl TrainingRig {
     ///
     /// # Errors
     ///
-    /// Propagates α-estimation errors for degenerate data.
+    /// Returns [`Error::InvalidInput`] when the budget records no
+    /// intervals per run, and propagates α-estimation errors for
+    /// degenerate data.
     pub fn calibrate_alpha(&self, idle: &IdlePowerModel, budget: &TrainingBudget) -> Result<f64> {
-        let table = self.config.topology.vf_table().clone();
-        let mut points = Vec::new();
-        for vf in table.states() {
+        require_records(budget, "α calibration")?;
+        let table = self.config.topology.vf_table();
+        let states: Vec<VfStateId> = table.states().collect();
+        let points = shard::map(&states, self.jobs, |&vf| {
             let mut sim = self.new_sim();
             sim.set_power_gating(false);
             sim.set_all_vf(vf);
@@ -164,14 +186,14 @@ impl TrainingRig {
                 dyn_sum += r.measured_power.as_watts()
                     - idle.estimate(point.voltage, r.temperature)?.as_watts();
             }
-            let mean_dyn = dyn_sum / records.len().max(1) as f64;
-            points.push((
+            let mean_dyn = dyn_sum / records.len() as f64;
+            Ok((
                 point.voltage,
                 point.frequency,
                 Watts::new(mean_dyn.max(0.1)),
-            ));
-        }
-        estimate_alpha(&points)
+            ))
+        });
+        estimate_alpha(&points.into_iter().collect::<Result<Vec<_>>>()?)
     }
 
     /// Runs one workload at one VF state and records intervals after
@@ -230,43 +252,51 @@ impl TrainingRig {
 
     /// Collects the Fig. 4 PG sweep: `bench_a` on 0–N CUs, gating
     /// enabled and disabled, at every VF state.
-    pub fn collect_pg_sweep(&self, budget: &TrainingBudget) -> Vec<PgSweepPoint> {
-        let table = self.config.topology.vf_table().clone();
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidInput`] when the budget records no
+    /// intervals per run (the mean power would be NaN).
+    pub fn collect_pg_sweep(&self, budget: &TrainingBudget) -> Result<Vec<PgSweepPoint>> {
+        require_records(budget, "the PG sweep")?;
         let cu_count = self.config.topology.cu_count();
-        let mut out = Vec::new();
-        for vf in table.states() {
-            for busy_cus in 0..=cu_count {
-                for pg in [false, true] {
-                    let mut sim = self.new_sim();
-                    sim.set_power_gating(pg);
-                    sim.set_all_vf(vf);
-                    if busy_cus > 0 {
-                        // One bench_a instance per busy CU; placement
-                        // spreads across CUs first, matching the paper.
-                        let spec = WorkloadSpec::new(
-                            format!("bench_a x{busy_cus}"),
-                            Suite::Micro,
-                            vec![bench_a(); busy_cus.min(cu_count)],
-                        );
-                        sim.load_workload(&spec);
-                    }
-                    let _ = sim.run_intervals(budget.warmup_intervals);
-                    let records = sim.run_intervals(budget.record_intervals);
-                    let mean = records
-                        .iter()
-                        .map(|r| r.measured_power.as_watts())
-                        .sum::<f64>()
-                        / records.len() as f64;
-                    out.push(PgSweepPoint {
-                        vf,
-                        busy_cus,
-                        pg_enabled: pg,
-                        power: Watts::new(mean),
-                    });
-                }
+        let cells: Vec<(VfStateId, usize, bool)> = self
+            .config
+            .topology
+            .vf_table()
+            .states()
+            .flat_map(|vf| {
+                (0..=cu_count).flat_map(move |busy| [(vf, busy, false), (vf, busy, true)])
+            })
+            .collect();
+        Ok(shard::map(&cells, self.jobs, |&(vf, busy_cus, pg)| {
+            let mut sim = self.new_sim();
+            sim.set_power_gating(pg);
+            sim.set_all_vf(vf);
+            if busy_cus > 0 {
+                // One bench_a instance per busy CU; placement spreads
+                // across CUs first, matching the paper.
+                let spec = WorkloadSpec::new(
+                    format!("bench_a x{busy_cus}"),
+                    Suite::Micro,
+                    vec![bench_a(); busy_cus],
+                );
+                sim.load_workload(&spec);
             }
-        }
-        out
+            let _ = sim.run_intervals(budget.warmup_intervals);
+            let records = sim.run_intervals(budget.record_intervals);
+            let mean = records
+                .iter()
+                .map(|r| r.measured_power.as_watts())
+                .sum::<f64>()
+                / records.len() as f64;
+            PgSweepPoint {
+                vf,
+                busy_cus,
+                pg_enabled: pg,
+                power: Watts::new(mean),
+            }
+        }))
     }
 
     /// Full training pipeline over the given training workloads (run
@@ -290,18 +320,29 @@ impl TrainingRig {
         // 2. Alpha.
         let alpha = self.calibrate_alpha(&idle, budget)?;
 
-        // 3. Dynamic model on VF5 runs.
+        // 3. Dynamic model on VF5 runs, each run reduced to its
+        //    samples on its worker.
+        let per_spec = shard::map(training_specs, self.jobs, |spec| {
+            let trace = self.collect_run(spec, vf_top, budget);
+            trace
+                .records
+                .iter()
+                .map(|record| {
+                    let gg = GgSample {
+                        ips: Self::chip_ips(record),
+                        vf: vf_top,
+                        power: record.measured_power,
+                    };
+                    Ok((Self::dyn_sample_from(record, &idle, &table)?, gg))
+                })
+                .collect::<Result<Vec<_>>>()
+        });
         let mut dyn_samples = Vec::new();
         let mut gg_samples = Vec::new();
-        for spec in training_specs {
-            let trace = self.collect_run(spec, vf_top, budget);
-            for record in &trace.records {
-                dyn_samples.push(Self::dyn_sample_from(record, &idle, &table)?);
-                gg_samples.push(GgSample {
-                    ips: Self::chip_ips(record),
-                    vf: vf_top,
-                    power: record.measured_power,
-                });
+        for samples in per_spec {
+            for (dyn_sample, gg_sample) in samples? {
+                dyn_samples.push(dyn_sample);
+                gg_samples.push(gg_sample);
             }
         }
         let v_top = table.point(vf_top).voltage;
@@ -357,12 +398,23 @@ impl TrainingRig {
         // Attach the PG decomposition when the platform gates, so the
         // §V projection paths work out of the box.
         if self.config.topology.supports_power_gating() {
-            let sweep = self.collect_pg_sweep(&TrainingBudget::quick());
+            let sweep = self.collect_pg_sweep(&TrainingBudget::quick())?;
             let pg = PgIdleModel::fit(&sweep, self.config.topology.cu_count())?;
             return Ok(models.with_pg(pg));
         }
         Ok(models)
     }
+}
+
+/// Rejects a budget whose runs record no intervals: a per-run mean
+/// over zero records is NaN (or a silent floor), never a measurement.
+fn require_records(budget: &TrainingBudget, sweep: &str) -> Result<()> {
+    if budget.record_intervals == 0 {
+        return Err(Error::InvalidInput(format!(
+            "{sweep} needs record_intervals > 0 to average power over"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -469,13 +521,39 @@ mod tests {
         assert!(peak_idx < records.len() - 5, "and fall afterwards");
     }
 
+    fn zero_record_budget() -> TrainingBudget {
+        TrainingBudget {
+            record_intervals: 0,
+            ..TrainingBudget::quick()
+        }
+    }
+
+    #[test]
+    fn pg_sweep_rejects_a_zero_record_budget() {
+        let rig = TrainingRig::fx8320(42);
+        assert!(matches!(
+            rig.collect_pg_sweep(&zero_record_budget()),
+            Err(Error::InvalidInput(_))
+        ));
+    }
+
+    #[test]
+    fn alpha_calibration_rejects_a_zero_record_budget() {
+        let rig = TrainingRig::fx8320(42);
+        let idle = IdlePowerModel::fit(&rig.collect_idle_traces(&TrainingBudget::quick())).unwrap();
+        assert!(matches!(
+            rig.calibrate_alpha(&idle, &zero_record_budget()),
+            Err(Error::InvalidInput(_))
+        ));
+    }
+
     #[test]
     fn pg_sweep_produces_fig4_shape() {
         let rig = TrainingRig::fx8320(42);
         let mut budget = TrainingBudget::quick();
         budget.warmup_intervals = 3;
         budget.record_intervals = 3;
-        let sweep = rig.collect_pg_sweep(&budget);
+        let sweep = rig.collect_pg_sweep(&budget).unwrap();
         let table = rig.config().topology.vf_table().clone();
         let vf5 = table.highest();
         let find = |k: usize, pg: bool| {
