@@ -1,8 +1,8 @@
 //! The batched struct-of-arrays projection kernel.
 //!
 //! [`crate::framework::Ppep::project_nb`] prices every (core,
-//! VF-state) cell of the DVFS space each interval. The scalar
-//! reference path walks the grid cell by cell, re-deriving per-state
+//! VF-state) cell of the DVFS space each interval. The per-cell
+//! formulation walks the grid cell by cell, re-deriving per-state
 //! constants — the `(Vn/V5)^α` weight scaling, target frequencies in
 //! Hz — and per-core invariants — the LL-MAB decomposition, the
 //! per-instruction event fingerprint — inside the inner loop.
@@ -12,17 +12,19 @@
 //! engine) and per-core hoists, leaving the inner loops as branch-free
 //! zip chains over contiguous slices. The restructuring is **bit
 //! exact**: every cell value is produced by the identical sequence of
-//! float operations the scalar path performs, only with loop-invariant
-//! subexpressions computed once (IEEE-754 float ops are deterministic,
-//! so hoisting a pure subexpression cannot change its bits). The
-//! differential harness in `tests/kernel_equivalence.rs` and the
-//! golden-fixture pins in `tests/golden_traces.rs` enforce the
-//! contract, and the `kernel-bench` experiment gates the speedup.
+//! float operations the per-cell walk performs, only with
+//! loop-invariant subexpressions computed once (IEEE-754 float ops are
+//! deterministic, so hoisting a pure subexpression cannot change its
+//! bits). The per-cell walk is kept in the test tree as the oracle
+//! (`tests/support/scalar_reference.rs`): the differential harness in
+//! `tests/kernel_equivalence.rs` enforces the contract and times the
+//! speedup, and the golden-fixture pins in `tests/golden_traces.rs`
+//! hold the end-to-end decisions.
 //!
-//! Error behaviour is preserved too: validation runs in the scalar
+//! Error behaviour is preserved too: validation runs in the per-cell
 //! order (memory factor → finite counts → positive frequencies →
 //! CPI decomposition → finite Eq. 3 sums), so the first error any
-//! record produces is the same `Error` either path.
+//! record produces is the same `Error` the oracle reports.
 
 use crate::ppe::{CoreAtVf, CoreProjection};
 use ppep_models::soa::SoaCoeffs;
@@ -32,47 +34,6 @@ use ppep_obs::{Stage, StageClock};
 use ppep_pmc::EventId;
 use ppep_telemetry::IntervalRecord;
 use ppep_types::{CoreId, Error, Gigahertz, Result};
-
-/// Which projection kernel a [`crate::framework::Ppep`] routes
-/// [`crate::framework::Ppep::project_nb`] through.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum ProjectionKernel {
-    /// The original per-cell path, kept as the differential reference.
-    Scalar,
-    /// The struct-of-arrays batch kernel (bit-identical, faster).
-    #[default]
-    Batch,
-}
-
-impl ProjectionKernel {
-    /// The CLI spelling (`scalar` / `batch`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ProjectionKernel::Scalar => "scalar",
-            ProjectionKernel::Batch => "batch",
-        }
-    }
-}
-
-impl std::str::FromStr for ProjectionKernel {
-    type Err = Error;
-
-    fn from_str(s: &str) -> Result<Self> {
-        match s {
-            "scalar" => Ok(ProjectionKernel::Scalar),
-            "batch" => Ok(ProjectionKernel::Batch),
-            other => Err(Error::InvalidInput(format!(
-                "unknown projection kernel {other:?} (expected scalar|batch)"
-            ))),
-        }
-    }
-}
-
-impl std::fmt::Display for ProjectionKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 /// The per-core LL-MAB hoists shared by a whole VF row.
 #[derive(Debug, Clone, Copy)]
@@ -112,7 +73,7 @@ impl BatchProjector {
 
     /// Computes the full core × VF-state grid for one record: each
     /// core's [`CoreProjection`] plus the per-state NB dynamic power
-    /// accumulator, exactly as the scalar reference produces them.
+    /// accumulator, exactly as the per-cell walk produces them.
     ///
     /// `memory_factor` and `nb_dyn_scale` are the §V-C2 NB-state
     /// assumptions (1.0 at the stock NB point). `models` must be the
@@ -120,7 +81,7 @@ impl BatchProjector {
     ///
     /// # Errors
     ///
-    /// The same errors, in the same order, as the scalar reference:
+    /// The same errors, in the same order, as the per-cell walk:
     /// invalid memory factor, non-finite counts, non-positive
     /// frequencies, degenerate CPI decompositions, and non-finite
     /// Eq. 3 sums. Out-of-range CU assignments surface as
@@ -312,16 +273,6 @@ mod tests {
         let mut sim = ChipSimulator::new(SimConfig::fx8320(42));
         sim.load_workload(&instances("433.milc", 3, 42));
         sim.run_intervals(4).pop().expect("simulated interval")
-    }
-
-    #[test]
-    fn kernel_parsing_round_trips() {
-        for k in [ProjectionKernel::Scalar, ProjectionKernel::Batch] {
-            assert_eq!(k.as_str().parse::<ProjectionKernel>().unwrap(), k);
-        }
-        assert!("simd".parse::<ProjectionKernel>().is_err());
-        assert_eq!(ProjectionKernel::default(), ProjectionKernel::Batch);
-        assert_eq!(ProjectionKernel::Batch.to_string(), "batch");
     }
 
     #[test]

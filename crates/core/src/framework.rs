@@ -1,20 +1,21 @@
 //! The Fig. 5 pipeline: interval record in, PPE projection out.
 //!
-//! Two kernels implement the per-interval core × VF grid: the scalar
-//! reference below and the struct-of-arrays batch kernel in
-//! [`crate::batch`] (the default). They are bit-identical by
-//! construction and by test (`tests/kernel_equivalence.rs`); choose
-//! with [`Ppep::with_kernel`].
+//! One path projects every interval: [`Ppep::project_nb`] validates
+//! the record, hands the core × VF grid walk (Eq. 1 CPI, Eqs. 4–6
+//! events, Eq. 3 Pdyn) to the struct-of-arrays kernel in
+//! [`crate::batch`], then adds Pidle (Eq. 2 or Eqs. 7–8) and composes
+//! the chip rows. The per-cell scalar walk the kernel was derived
+//! from lives in the test tree as its differential oracle
+//! (`tests/support/scalar_reference.rs`).
 
-use crate::batch::{BatchProjector, ProjectionKernel};
-use crate::ppe::{ChipPpe, CoreAtVf, CoreProjection, PpeProjection};
-use ppep_models::event_pred::HwEventPredictor;
+use crate::batch::BatchProjector;
+use crate::ppe::{ChipPpe, PpeProjection};
 use ppep_models::trainer::TrainedModels;
 use ppep_obs::{RecorderHandle, Stage, StageClock};
 use ppep_pmc::EventId;
 use ppep_telemetry::IntervalRecord;
 use ppep_types::vf::NbVfState;
-use ppep_types::{CoreId, Error, Joules, Result, Seconds, VfStateId, Watts};
+use ppep_types::{Error, Joules, Result, Seconds, VfStateId, Watts};
 
 /// The §V-C2 NB-DVFS study assumptions for the low NB point.
 mod nb_low {
@@ -31,43 +32,20 @@ mod nb_low {
 #[derive(Debug, Clone)]
 pub struct Ppep {
     models: TrainedModels,
-    predictor: HwEventPredictor,
     recorder: RecorderHandle,
-    kernel: ProjectionKernel,
     batch: BatchProjector,
 }
 
 impl Ppep {
-    /// Builds the engine from trained models. Projections route
-    /// through the batch kernel by default; see [`Ppep::with_kernel`].
+    /// Builds the engine from trained models, flattening their
+    /// coefficient tables for the batch kernel once.
     pub fn new(models: TrainedModels) -> Self {
         let batch = BatchProjector::new(&models);
         Self {
             models,
-            predictor: HwEventPredictor::new(),
             recorder: RecorderHandle::noop(),
-            kernel: ProjectionKernel::default(),
             batch,
         }
-    }
-
-    /// Selects which kernel [`Ppep::project_nb`] runs. Both kernels
-    /// produce bit-identical projections; the scalar path exists as
-    /// the differential reference and for A/B benchmarking.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: ProjectionKernel) -> Self {
-        self.set_kernel(kernel);
-        self
-    }
-
-    /// In-place form of [`Ppep::with_kernel`].
-    pub fn set_kernel(&mut self, kernel: ProjectionKernel) {
-        self.kernel = kernel;
-    }
-
-    /// The kernel projections currently route through.
-    pub fn kernel(&self) -> ProjectionKernel {
-        self.kernel
     }
 
     /// The engine's batch projector (flattened coefficient tables).
@@ -116,44 +94,22 @@ impl Ppep {
     /// power drops 36% — the paper's stated assumptions.
     ///
     /// The source record must have been measured at the stock NB
-    /// point (all of the paper's measurements are).
+    /// point (all of the paper's measurements are); a record taken at
+    /// [`NbVfState::Low`] is rejected rather than scaled twice.
     ///
     /// # Errors
     ///
-    /// Propagates event-predictor and model errors.
+    /// [`Error::InvalidInput`] for a record measured at the low NB
+    /// point or whose CU assignment does not fit the model bundle;
+    /// otherwise propagates event-predictor and model errors.
     pub fn project_nb(
         &self,
         record: &IntervalRecord,
         nb_target: NbVfState,
     ) -> Result<PpeProjection> {
-        self.project_nb_with(record, nb_target, self.kernel)
-    }
-
-    /// [`Ppep::project_nb`] forced through the scalar reference
-    /// kernel, regardless of [`Ppep::kernel`] — the comparison target
-    /// for the differential test harness and the kernel benchmark.
-    ///
-    /// # Errors
-    ///
-    /// Propagates event-predictor and model errors.
-    pub fn project_nb_scalar(
-        &self,
-        record: &IntervalRecord,
-        nb_target: NbVfState,
-    ) -> Result<PpeProjection> {
-        self.project_nb_with(record, nb_target, ProjectionKernel::Scalar)
-    }
-
-    fn project_nb_with(
-        &self,
-        record: &IntervalRecord,
-        nb_target: NbVfState,
-        kernel: ProjectionKernel,
-    ) -> Result<PpeProjection> {
         self.validate_record(record)?;
-        let table = self.models.vf_table().clone();
-        let topo = self.models.topology().clone();
-        let cores_per_cu = topo.cores_per_cu();
+        let table = self.models.vf_table();
+        let cores_per_cu = self.models.topology().cores_per_cu();
         let (memory_factor, nb_idle_scale, nb_dyn_scale) = match nb_target {
             NbVfState::High => (1.0, 1.0, 1.0),
             NbVfState::Low => (nb_low::MEMORY_FACTOR, nb_low::IDLE_SCALE, nb_low::DYN_SCALE),
@@ -165,18 +121,13 @@ impl Ppep {
         // recorder makes each `time` call a plain closure call.
         let mut clock = StageClock::new(&self.recorder);
 
-        let (cores, nb_dynamic_by_vf) = match kernel {
-            ProjectionKernel::Scalar => {
-                self.scalar_grid(record, memory_factor, nb_dyn_scale, &mut clock)?
-            }
-            ProjectionKernel::Batch => self.batch.grid(
-                &self.models,
-                record,
-                memory_factor,
-                nb_dyn_scale,
-                &mut clock,
-            )?,
-        };
+        let (cores, nb_dynamic_by_vf) = self.batch.grid(
+            &self.models,
+            record,
+            memory_factor,
+            nb_dyn_scale,
+            &mut clock,
+        )?;
         let work_instructions: f64 = record
             .samples
             .iter()
@@ -189,6 +140,9 @@ impl Ppep {
             .map(|cu| cu.iter().any(|c| c.busy))
             .collect();
         let any_active = cu_active.iter().any(|b| *b);
+        // The uniform assignment the PG idle path prices, refilled
+        // per VF state.
+        let mut uniform = vec![table.lowest(); self.models.topology().cu_count()];
 
         let mut chip = Vec::with_capacity(table.len());
         for vf in table.states() {
@@ -205,8 +159,8 @@ impl Ppep {
                     };
                     let idle_total = match self.models.chip_power().pg_model() {
                         Some(pg) => {
-                            let stock =
-                                pg.chip_idle_pg_enabled(&cu_active, &vec![vf; topo.cu_count()])?;
+                            uniform.fill(vf);
+                            let stock = pg.chip_idle_pg_enabled(&cu_active, &uniform)?;
                             // Replace the stock NB idle contribution with
                             // the scaled one.
                             if any_active {
@@ -260,12 +214,20 @@ impl Ppep {
         })
     }
 
-    /// Rejects records whose CU→VF assignment cannot index the model
-    /// bundle's ladder: too few assignments for the sampled cores
-    /// (including an empty assignment) or a state id from a longer
-    /// table. Both used to panic inside the grid loops; both kernels
-    /// now share this typed check.
+    /// Rejects records the projection cannot price: one measured at
+    /// the low NB point (its memory cycles already carry the §V-C2
+    /// growth, so projecting it would apply the factor twice), and one
+    /// whose CU→VF assignment cannot index the model bundle's ladder —
+    /// too few assignments for the sampled cores (including an empty
+    /// assignment) or a state id from a longer table.
     fn validate_record(&self, record: &IntervalRecord) -> Result<()> {
+        if record.nb_state == NbVfState::Low {
+            return Err(Error::InvalidInput(
+                "record measured at the low NB point; projections start \
+                 from the stock NB point"
+                    .into(),
+            ));
+        }
         let cores_per_cu = self.models.topology().cores_per_cu();
         let table_len = self.models.vf_table().len();
         let needed_cus = record.samples.len().div_ceil(cores_per_cu);
@@ -287,54 +249,6 @@ impl Ppep {
             }
         }
         Ok(())
-    }
-
-    /// The scalar reference kernel: the per-cell grid walk, kept
-    /// verbatim as the differential baseline for [`crate::batch`].
-    fn scalar_grid(
-        &self,
-        record: &IntervalRecord,
-        memory_factor: f64,
-        nb_dyn_scale: f64,
-        clock: &mut StageClock<'_>,
-    ) -> Result<(Vec<CoreProjection>, Vec<f64>)> {
-        let table = self.models.vf_table();
-        let cores_per_cu = self.models.topology().cores_per_cu();
-        let dynamic = self.models.dynamic_model();
-        let mut cores = Vec::with_capacity(record.samples.len());
-        let mut nb_dynamic_by_vf = vec![0.0; table.len()];
-        for (i, sample) in record.samples.iter().enumerate() {
-            let cu = i / cores_per_cu;
-            let from = table.point(record.cu_vf[cu]);
-            let busy = sample.counts.get(EventId::RetiredInstructions) > 0.0;
-            let mut per_vf = Vec::with_capacity(table.len());
-            for vf in table.states() {
-                let to = table.point(vf);
-                let projected = clock.time(Stage::CpiPredict, || {
-                    self.predictor.project_cpi(sample, from, to, memory_factor)
-                })?;
-                let predicted = clock.time(Stage::EventPredict, || {
-                    self.predictor.reconstruct_events(sample, &projected)
-                })?;
-                let (core_dyn, nb_dyn) = clock.time(Stage::Pdyn, || {
-                    dynamic.estimate_core_split(&predicted.power_rates(), to.voltage)
-                })?;
-                let nb_dyn = nb_dyn * nb_dyn_scale;
-                nb_dynamic_by_vf[vf.index()] += nb_dyn.as_watts();
-                per_vf.push(CoreAtVf {
-                    vf,
-                    dynamic_power: core_dyn + nb_dyn,
-                    ips: predicted.ips,
-                    cpi: predicted.cpi,
-                });
-            }
-            cores.push(CoreProjection {
-                core: CoreId(i),
-                busy,
-                per_vf,
-            });
-        }
-        Ok((cores, nb_dynamic_by_vf))
     }
 
     /// Predicted chip power for an arbitrary per-CU VF assignment —
@@ -572,17 +486,10 @@ mod tests {
         for keep in [0, 1] {
             let mut record = record_for("433.milc", 2);
             record.cu_vf.truncate(keep);
-            for kernel in [ProjectionKernel::Scalar, ProjectionKernel::Batch] {
-                let err = ppep
-                    .clone()
-                    .with_kernel(kernel)
-                    .project(&record)
-                    .expect_err("short assignment must not panic");
-                assert!(
-                    err.to_string().contains("VF assignments"),
-                    "{kernel}: {err}"
-                );
-            }
+            let err = ppep
+                .project(&record)
+                .expect_err("short assignment must not panic");
+            assert!(err.to_string().contains("VF assignments"), "{err}");
         }
     }
 
@@ -593,111 +500,26 @@ mod tests {
         // Index 6 from the boosted seven-state ladder, against the
         // engine's five-state bundle.
         record.cu_vf[0] = ppep_types::VfTable::fx8320_with_boost().highest();
-        for kernel in [ProjectionKernel::Scalar, ProjectionKernel::Batch] {
-            let err = ppep
-                .clone()
-                .with_kernel(kernel)
-                .project(&record)
-                .expect_err("out-of-range state must not panic");
-            assert!(
-                err.to_string().contains("5-state ladder"),
-                "{kernel}: {err}"
-            );
-        }
-    }
-
-    fn single_core_ppep() -> Ppep {
-        use ppep_models::idle::{IdlePowerModel, IdleSample};
-        use ppep_models::{ChipPowerModel, DynamicPowerModel};
-        use ppep_types::{Kelvin, Topology, VfTable, Volts};
-        let table = VfTable::fx8320();
-        // P = 0.1·T + 10·V (linear, easy to verify).
-        let mut samples = Vec::new();
-        for point in table.iter().map(|(_, p)| p) {
-            for i in 0..5 {
-                let t = 305.0 + 5.0 * f64::from(i);
-                samples.push(IdleSample {
-                    voltage: point.voltage,
-                    temperature: Kelvin::new(t),
-                    power: Watts::new(0.1 * t + 10.0 * point.voltage.as_volts()),
-                });
-            }
-        }
-        let idle = IdlePowerModel::fit(&samples).expect("synthetic idle fit");
-        let mut w = [0.0; 9];
-        for (i, wi) in w.iter_mut().enumerate() {
-            *wi = (i as f64 + 1.0) * 1.0e-10;
-        }
-        let dynamic = DynamicPowerModel::from_parts(w, 1.6, Volts::new(1.320));
-        let governors = ppep_models::green_governors::GreenGovernors::from_parts(
-            vec![Watts::new(10.0); table.len()],
-            1.0e-9,
-        );
-        let topo = Topology::new("uniprocessor", 1, 1, table.clone(), false, 4.0, 20.0)
-            .expect("single-core topology is valid");
-        Ppep::new(TrainedModels::from_parts(
-            ChipPowerModel::new(idle, dynamic),
-            governors,
-            1.6,
-            table,
-            topo,
-        ))
+        let err = ppep
+            .project(&record)
+            .expect_err("out-of-range state must not panic");
+        assert!(err.to_string().contains("5-state ladder"), "{err}");
     }
 
     #[test]
-    fn single_core_topology_projects_under_both_kernels() {
-        use ppep_pmc::sampler::IntervalSample;
-        use ppep_pmc::EventCounts;
-        use ppep_telemetry::record::PowerBreakdown;
-        use ppep_types::time::IntervalIndex;
-        use ppep_types::{Kelvin, Seconds};
-        let ppep = single_core_ppep();
-        let duration = Seconds::new(0.2);
-        let inst = 2.0e8;
-        let mut counts = EventCounts::zero();
-        counts.set(EventId::RetiredInstructions, inst);
-        counts.set(EventId::CpuClocksNotHalted, 1.4 * inst);
-        counts.set(EventId::MabWaitCycles, 0.2 * inst);
-        counts.set(EventId::DispatchStalls, 0.45 * inst);
-        counts.set(EventId::RetiredUops, 1.5 * inst);
-        counts.set(EventId::DataCacheAccesses, 0.3 * inst);
-        counts.set(EventId::L2CacheMisses, 0.01 * inst);
-        let record = IntervalRecord {
-            index: IntervalIndex(0),
-            duration,
-            samples: vec![IntervalSample { counts, duration }],
-            true_counts: vec![EventCounts::zero()],
-            measured_power: Watts::new(20.0),
-            true_power: PowerBreakdown {
-                core_dynamic: vec![Watts::ZERO],
-                nb_dynamic: Watts::ZERO,
-                cu_idle: vec![Watts::ZERO],
-                nb_idle: Watts::ZERO,
-                base: Watts::ZERO,
-            },
-            temperature: Kelvin::new(320.0),
-            cu_vf: vec![ppep.models().vf_table().highest()],
-            nb_state: NbVfState::High,
-            core_busy: vec![true],
-        };
-        let batch = ppep.project(&record).expect("batch projects 1×1 topology");
-        let scalar = ppep
-            .project_nb_scalar(&record, NbVfState::High)
-            .expect("scalar projects 1×1 topology");
-        assert_eq!(batch.cores.len(), 1);
-        assert_eq!(batch.chip.len(), 5);
-        assert!(batch.cores[0].busy);
-        for (b, s) in batch.cores[0].per_vf.iter().zip(&scalar.cores[0].per_vf) {
-            assert_eq!(b.ips.to_bits(), s.ips.to_bits());
-            assert_eq!(b.cpi.to_bits(), s.cpi.to_bits());
-            assert_eq!(
-                b.dynamic_power.as_watts().to_bits(),
-                s.dynamic_power.as_watts().to_bits()
-            );
-        }
-        for (b, s) in batch.chip.iter().zip(&scalar.chip) {
-            assert_eq!(b.power.as_watts().to_bits(), s.power.as_watts().to_bits());
-            assert_eq!(b.ips.to_bits(), s.ips.to_bits());
+    fn nb_low_source_record_is_a_typed_error_at_both_targets() {
+        let ppep = shared_ppep();
+        let mut sim = ChipSimulator::new(SimConfig::fx8320(42));
+        sim.load_workload(&instances("433.milc", 2, 42));
+        sim.set_nb_state(NbVfState::Low);
+        let record = sim.run_intervals(4).pop().unwrap();
+        assert_eq!(record.nb_state, NbVfState::Low);
+        for target in [NbVfState::High, NbVfState::Low] {
+            let err = ppep
+                .project_nb(&record, target)
+                .expect_err("an NB-low source record must not be projected");
+            assert!(matches!(err, Error::InvalidInput(_)), "{target:?}: {err:?}");
+            assert!(err.to_string().contains("low NB point"), "{err}");
         }
     }
 }

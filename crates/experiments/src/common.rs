@@ -1,7 +1,7 @@
 //! Shared experiment infrastructure: scale presets, trace stores,
 //! cross-validation machinery, and table printing.
 
-use ppep_core::{Ppep, ProjectionKernel};
+use ppep_core::Ppep;
 use ppep_models::idle::IdlePowerModel;
 use ppep_models::trainer::{ComboTrace, TrainingBudget};
 use ppep_models::DynamicPowerModel;
@@ -18,8 +18,8 @@ pub const DEFAULT_SEED: u64 = 42;
 /// How much simulated time an experiment spends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Reduced rosters and interval counts — used by tests and the
-    /// Criterion benches.
+    /// Reduced rosters and interval counts — used by tests and
+    /// `--quick` runs.
     Quick,
     /// The paper-sized configuration (152 combinations, 4-fold CV).
     Full,
@@ -76,9 +76,6 @@ pub struct Context {
     /// Sweep workers (`--jobs`; 1 = serial): the calling thread plus
     /// `jobs - 1` scoped threads.
     pub jobs: usize,
-    /// Projection kernel every engine this context builds routes
-    /// through (`--kernel`; batch by default).
-    pub kernel: ProjectionKernel,
 }
 
 impl Context {
@@ -89,7 +86,6 @@ impl Context {
             scale,
             seed,
             jobs: 1,
-            kernel: ProjectionKernel::default(),
         }
     }
 
@@ -100,7 +96,6 @@ impl Context {
             scale,
             seed,
             jobs: 1,
-            kernel: ProjectionKernel::default(),
         }
     }
 
@@ -113,19 +108,10 @@ impl Context {
         self
     }
 
-    /// Sets the projection kernel for engines built via
-    /// [`Context::engine`].
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: ProjectionKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Wraps trained models in an engine routed through this
-    /// context's kernel — the one construction path every experiment
-    /// uses, so `--kernel` reaches them all.
+    /// Wraps trained models in an engine — the one construction path
+    /// every experiment uses.
     pub fn engine(&self, models: ppep_models::trainer::TrainedModels) -> Ppep {
-        Ppep::new(models).with_kernel(self.kernel)
+        Ppep::new(models)
     }
 
     /// Trains the full model bundle (idle + α + dynamic + GG) on this

@@ -57,7 +57,6 @@ pub mod fig08_09_background;
 pub mod fig10_nb_share;
 pub mod fig11_nb_dvfs;
 pub mod idle_accuracy;
-pub mod kernel_bench;
 pub mod observations;
 pub mod overhead;
 pub mod phenom;

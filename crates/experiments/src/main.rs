@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! ppep-experiments [--quick] [--seed N] [--out DIR] [--jobs N] \
-//!     [--kernel scalar|batch] [--policy-a P] [--policy-b P] [--trace PATH] \
-//!     [--shards N] [--tenants N] [--transport unix|tcp] \
-//!     <fig1|cpi|idle|obs|fig2|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|phenom|ablations|resilience|overhead|replay|diff-policies|bench-parallel|kernel-bench|serve|serve-chaos|load-gen|serve-bench|accuracy-watch|summary|all>
+//!     [--policy-a P] [--policy-b P] [--trace PATH] [--shards N] \
+//!     [--tenants N] [--transport unix|tcp] \
+//!     <fig1|cpi|idle|obs|fig2|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|phenom|ablations|resilience|overhead|replay|diff-policies|bench-parallel|serve|serve-chaos|load-gen|serve-bench|accuracy-watch|summary|all>
 //! ```
 //!
 //! With `--out DIR`, figure commands additionally write their data as
@@ -19,12 +19,6 @@
 //! studies, and the Figs. 2/3/6, phenom and summary rosters — across
 //! `N` workers (the calling thread plus `N - 1` threads); `--jobs 0`
 //! means "all cores". Results are identical for every worker count.
-//!
-//! `--kernel scalar|batch` selects the projection kernel every
-//! experiment engine routes through (default: batch). The kernels are
-//! bit-identical — `kernel-bench` times them against each other and
-//! gates on that equality plus the batch speedup, writing
-//! `BENCH_kernel.json` under `--out`.
 //!
 //! `--policy-a` / `--policy-b` pick the two sides of `diff-policies`
 //! (`one-step`, `iterative`, `steepest-drop`, `energy-optimal`, or
@@ -50,10 +44,10 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: ppep-experiments [--quick] [--seed N] [--out DIR] [--jobs N] \
-         [--kernel scalar|batch] [--policy-a P] [--policy-b P] [--trace PATH] \
-         [--shards N] [--tenants N] [--transport unix|tcp] \
+         [--policy-a P] [--policy-b P] [--trace PATH] [--shards N] \
+         [--tenants N] [--transport unix|tcp] \
          <fig1|cpi|idle|obs|fig2|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|phenom|ablations|\
-         resilience|overhead|replay|diff-policies|bench-parallel|kernel-bench|serve|serve-chaos|\
+         resilience|overhead|replay|diff-policies|bench-parallel|serve|serve-chaos|\
          load-gen|serve-bench|accuracy-watch|summary|all>\n\
          policies: one-step | iterative | steepest-drop | energy-optimal | recorded"
     );
@@ -79,7 +73,6 @@ fn main() -> ExitCode {
     let mut policy_b = PolicyKind::Recorded;
     let mut trace_path: Option<std::path::PathBuf> = None;
     let mut serve_opts = serve::ServeOpts::default();
-    let mut kernel = ppep_core::ProjectionKernel::default();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -108,12 +101,6 @@ fn main() -> ExitCode {
                     return usage();
                 };
                 jobs = if v == 0 { default_jobs() } else { v };
-            }
-            "--kernel" => {
-                let Some(k) = args.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                kernel = k;
             }
             "--out" => {
                 let Some(dir) = args.next() else {
@@ -157,9 +144,7 @@ fn main() -> ExitCode {
     let Some(command) = command else {
         return usage();
     };
-    let ctx = Context::fx8320(scale, seed)
-        .with_jobs(jobs)
-        .with_kernel(kernel);
+    let ctx = Context::fx8320(scale, seed).with_jobs(jobs);
 
     let result = dispatch(
         &ctx,
@@ -291,14 +276,6 @@ fn dispatch(
                         .into(),
                 ));
             }
-        }
-        "kernel-bench" => {
-            let r = kernel_bench::run(ctx)?;
-            kernel_bench::print(&r);
-            save(out, "BENCH_kernel.json", kernel_bench::bench_json(&r));
-            // Bit equality + the speedup floor ARE the exit code: CI
-            // relies on them.
-            r.gate()?;
         }
         "bench-parallel" => {
             let r = bench_parallel::run(ctx)?;

@@ -1,16 +1,25 @@
-//! Differential harness pinning the batch SoA projection kernel to
-//! the scalar reference, bit for bit.
+//! Differential harness pinning the production projection — the
+//! batch SoA kernel behind `Ppep::project_nb` — to the scalar
+//! reference in `tests/support/scalar_reference.rs`, bit for bit.
 //!
 //! The batch kernel (`ppep_core::batch`) restructures the Fig. 5
 //! core × VF grid walk into struct-of-arrays passes. Its contract is
 //! not "close": every `f64` it emits must have the *same bits* as the
-//! scalar path, and every input the scalar path rejects must be
-//! rejected with the same typed error. This harness drives both
-//! kernels over adversarial inputs — NaN/±inf/subnormal counter
-//! salting, zero-instruction (idle) intervals, counter values adjacent
-//! to the 48-bit PMC wrap boundary, arbitrary VF ladders and
-//! topologies, and both NB operating points — and compares with
-//! `to_bits()` equality per cell.
+//! per-cell reference, and every input the reference rejects must be
+//! rejected with the same typed error. This harness drives both over
+//! adversarial inputs — NaN/±inf/subnormal counter salting,
+//! zero-instruction (idle) intervals, counter values adjacent to the
+//! 48-bit PMC wrap boundary, arbitrary VF ladders and topologies, and
+//! both NB operating points — and compares with `to_bits()` equality
+//! per cell. The ignored release test at the bottom gates the batch
+//! kernel's speedup over the reference:
+//!
+//! ```text
+//! cargo test --release --test kernel_equivalence -- --ignored --nocapture batch_kernel_speedup
+//! ```
+
+#[path = "support/scalar_reference.rs"]
+mod scalar_reference;
 
 use ppep_core::PpeProjection;
 use ppep_core::Ppep;
@@ -234,12 +243,12 @@ fn bits_eq(batch: &PpeProjection, scalar: &PpeProjection) -> Result<(), String> 
     Ok(())
 }
 
-/// Both kernels on both NB points: identical projections or identical
-/// typed errors — never a disagreement.
+/// The engine and the scalar reference on both NB points: identical
+/// projections or identical typed errors — never a disagreement.
 fn assert_kernels_agree(engine: &Ppep, record: &IntervalRecord) -> Result<(), String> {
     for nb in [NbVfState::High, NbVfState::Low] {
         let batch = engine.project_nb(record, nb);
-        let scalar = engine.project_nb_scalar(record, nb);
+        let scalar = scalar_reference::project_nb(engine.models(), record, nb);
         match (batch, scalar) {
             (Ok(b), Ok(s)) => bits_eq(&b, &s).map_err(|e| format!("{nb:?}: {e}"))?,
             (Err(b), Err(s)) => {
@@ -306,8 +315,9 @@ proptest! {
 }
 
 /// The trained FX-8320 bundle over a real simulated run: every
-/// interval of a mixed workload projects bit-identically under both
-/// kernels (the non-synthetic anchor for the property above).
+/// interval of a mixed workload projects bit-identically through the
+/// engine and the reference (the non-synthetic anchor for the property
+/// above).
 #[test]
 fn trained_engine_matches_across_a_simulated_run() {
     let mut rig = ppep_rig::TrainingRig::fx8320(42);
@@ -320,8 +330,9 @@ fn trained_engine_matches_across_a_simulated_run() {
 }
 
 /// Explicit pins for the corners the proptest samples: an all-idle
-/// record, a wrap-adjacent record, and each salt value in a fixed
-/// slot — kept as named cases so a regression points at the corner.
+/// record, a wrap-adjacent record, each salt value in a fixed slot, a
+/// record measured at the low NB point, and the smallest topology —
+/// kept as named cases so a regression points at the corner.
 #[test]
 fn named_corner_cases_agree() {
     let table = VfTable::fx8320();
@@ -345,4 +356,132 @@ fn named_corner_cases_agree() {
         assert_kernels_agree(&engine, &record)
             .unwrap_or_else(|e| panic!("salt value {value:?}: {e}"));
     }
+
+    // A source record measured at the low NB point: refused with the
+    // same typed error at both targets.
+    let mut record = build_record(&models, &[1; 8], &[5.0e8; 8], &ratios, &picks, None);
+    record.nb_state = NbVfState::Low;
+    assert!(engine.project(&record).is_err(), "NB-low source projected");
+    assert_kernels_agree(&engine, &record).expect("NB-low record");
+
+    // One CU of one core.
+    let models = build_models(&table, 1, 1, &[5.0e-10; 9], 1.6);
+    let single = Ppep::new(models.clone());
+    let record = build_record(&models, &[1], &[2.0e8], &ratios, &picks, None);
+    let projection = single.project(&record).expect("1x1 topology projects");
+    assert_eq!((projection.cores.len(), projection.chip.len()), (1, 5));
+    assert_kernels_agree(&single, &record).expect("1x1 topology");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Records the sharded trace store collects — the input every
+    /// figure projects — match the reference for any seed.
+    #[test]
+    fn collected_sweep_records_match_the_reference(seed in 1u64..500) {
+        use ppep_experiments::common::{Context, Scale, TraceStore};
+        use ppep_workloads::combos::instances;
+        let ctx = Context::fx8320(Scale::Quick, seed);
+        let table = ctx.rig.config().topology.vf_table();
+        let vfs = [table.lowest(), table.highest()];
+        let roster = vec![instances("403.gcc", 1, seed), instances("458.sjeng", 2, seed)];
+        let mut budget = ppep_models::trainer::TrainingBudget::quick();
+        budget.warmup_intervals = 1;
+        budget.record_intervals = 2;
+        let store = TraceStore::collect_sharded(&ctx.rig, &roster, &vfs, &budget, 2);
+        let mut rig = ppep_rig::TrainingRig::fx8320(seed);
+        let engine = Ppep::new(rig.train_quick().expect("training succeeds"));
+        for trace in store.traces() {
+            for record in &trace.records {
+                if let Err(e) = assert_kernels_agree(&engine, record) {
+                    prop_assert!(false, "seed {}: {}", seed, e);
+                }
+            }
+        }
+    }
+}
+
+/// Median speedup the batch kernel must clear over the reference on
+/// the 8-core FX-8320 preset.
+const MIN_SPEEDUP: f64 = 1.5;
+
+/// Linear-interpolated percentile of an ascending slice.
+fn percentile(sorted: &[f64], q: f64) -> f64 {
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+}
+
+/// The speedup gate: over a simulated Fig. 7 interval stream, every
+/// interval projects bit-identically at both NB points, and the batch
+/// kernel's median speedup over the reference across alternating
+/// timed rounds clears [`MIN_SPEEDUP`]. Timing is only meaningful in
+/// a release build, so the test is ignored by default.
+#[test]
+#[ignore = "timing gate; run with --release"]
+fn batch_kernel_speedup() {
+    use ppep_experiments::common::{Context, Scale, DEFAULT_SEED};
+    use std::time::Instant;
+    const INTERVALS: usize = 24;
+    const ROUNDS: usize = 9;
+    const REPS: usize = 400;
+
+    let ctx = Context::fx8320(Scale::Quick, DEFAULT_SEED);
+    let engine = ctx.engine(ctx.train_models().expect("training succeeds"));
+    let models = engine.models();
+    let mut sim = ppep_sim::ChipSimulator::new(ppep_sim::chip::SimConfig::fx8320(DEFAULT_SEED));
+    sim.load_workload(&ppep_workloads::combos::fig7_workload(DEFAULT_SEED));
+    let records = sim.run_intervals(INTERVALS);
+
+    // Correctness first: every interval, both NB points, all cells.
+    for record in &records {
+        assert_kernels_agree(&engine, record).expect("bit-identical over the fig7 stream");
+    }
+
+    let time_ms = |batch: bool| {
+        let t = Instant::now();
+        for _ in 0..REPS {
+            for record in records.iter().map(std::hint::black_box) {
+                let p = if batch {
+                    engine.project(record)
+                } else {
+                    scalar_reference::project_nb(models, record, NbVfState::High)
+                };
+                std::hint::black_box(p.expect("projects"));
+            }
+        }
+        t.elapsed().as_secs_f64() * 1e3
+    };
+    // One discarded warm-up round, then rounds that alternate which
+    // side runs first so neither inherits the other's warm caches.
+    time_ms(false);
+    time_ms(true);
+    let mut speedups = Vec::with_capacity(ROUNDS);
+    for round in 0..ROUNDS {
+        let (scalar_ms, batch_ms) = if round % 2 == 0 {
+            let s = time_ms(false);
+            (s, time_ms(true))
+        } else {
+            let b = time_ms(true);
+            (time_ms(false), b)
+        };
+        println!("round {round}: scalar {scalar_ms:.1} ms, batch {batch_ms:.1} ms");
+        speedups.push(scalar_ms / batch_ms);
+    }
+    speedups.sort_by(f64::total_cmp);
+    let median = percentile(&speedups, 0.5);
+    println!(
+        "batch speedup over the scalar reference ({} cores x {} VF states, \
+         {ROUNDS} rounds of {REPS} x {INTERVALS} intervals): median {median:.2}x \
+         [p10 {:.2}x, p90 {:.2}x]; gate {MIN_SPEEDUP}x",
+        models.topology().core_count(),
+        models.vf_table().len(),
+        percentile(&speedups, 0.1),
+        percentile(&speedups, 0.9),
+    );
+    assert!(
+        median >= MIN_SPEEDUP,
+        "batch kernel median speedup {median:.2}x is below the {MIN_SPEEDUP}x gate"
+    );
 }

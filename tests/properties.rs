@@ -2,7 +2,8 @@
 //!
 //! These cover the mathematical guarantees the PPEP pipeline leans on:
 //! regression solvers agreeing with each other, the Eq. 1 CPI
-//! projection forming a group action over frequencies, the hardware
+//! projection forming a group action over frequencies and holding
+//! through the full engine projection, the hardware
 //! event predictor preserving the Observation 1/2 invariants exactly,
 //! the PG idle decomposition being consistent under Eqs. 7–8, and the
 //! supervised daemon surviving arbitrary fault storms without ever
@@ -332,6 +333,93 @@ proptest! {
             report.fresh_decisions + report.held_decisions + report.failsafe_intervals,
             INTERVALS as u64
         );
+    }
+}
+
+/// A busy FX-8320 record (4 CUs x 2 cores): core `i` retires `inst[i]`
+/// instructions at CPI `ccpi[i] + mcpi[i]`, of which `mcpi[i]` is
+/// leading-load memory time, on CU VF states `picks`.
+fn busy_record(
+    table: &ppep_types::VfTable,
+    ccpi: &[f64],
+    mcpi: &[f64],
+    inst: &[f64],
+    picks: &[usize],
+) -> ppep_telemetry::IntervalRecord {
+    use ppep_telemetry::record::PowerBreakdown;
+    let duration = Seconds::new(0.2);
+    let samples: Vec<IntervalSample> = (0..8)
+        .map(|i| {
+            let mut c = EventCounts::zero();
+            c.set(EventId::RetiredInstructions, inst[i]);
+            c.set(EventId::CpuClocksNotHalted, (ccpi[i] + mcpi[i]) * inst[i]);
+            c.set(EventId::MabWaitCycles, mcpi[i] * inst[i]);
+            c.set(
+                EventId::DispatchStalls,
+                (0.5 * ccpi[i] + 0.9 * mcpi[i]) * inst[i],
+            );
+            c.set(EventId::RetiredUops, 1.5 * inst[i]);
+            c.set(EventId::DataCacheAccesses, 0.4 * inst[i]);
+            c.set(EventId::L2CacheMisses, 0.01 * inst[i]);
+            IntervalSample {
+                counts: c,
+                duration,
+            }
+        })
+        .collect();
+    ppep_telemetry::IntervalRecord {
+        index: ppep_types::time::IntervalIndex(0),
+        duration,
+        samples,
+        true_counts: vec![EventCounts::zero(); 8],
+        measured_power: Watts::new(60.0),
+        true_power: PowerBreakdown {
+            core_dynamic: vec![Watts::ZERO; 8],
+            nb_dynamic: Watts::ZERO,
+            cu_idle: vec![Watts::ZERO; 4],
+            nb_idle: Watts::ZERO,
+            base: Watts::ZERO,
+        },
+        temperature: ppep_types::Kelvin::new(320.0),
+        cu_vf: picks.iter().map(|&p| table.state(p).unwrap()).collect(),
+        nb_state: ppep_types::vf::NbVfState::High,
+        core_busy: vec![true; 8],
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Eq. 1 through the production projection: each core's cell at
+    /// its own VF state reproduces the measured CPI, and predicted CPI
+    /// never falls as the target frequency f' rises.
+    #[test]
+    fn projected_cpi_follows_eq1(
+        ccpi in prop::collection::vec(finite(0.3, 2.0), 8),
+        mcpi in prop::collection::vec(finite(0.0, 3.0), 8),
+        inst in prop::collection::vec(finite(1.0e6, 5.0e8), 8),
+        picks in prop::collection::vec(0usize..5, 4),
+    ) {
+        let ppep = trained_engine();
+        let table = ppep.models().vf_table().clone();
+        let record = busy_record(&table, &ccpi, &mcpi, &inst, &picks);
+        let projection = ppep.project(&record).unwrap();
+        for (i, core) in projection.cores.iter().enumerate() {
+            let counts = &record.samples[i].counts;
+            let measured = counts.get(EventId::CpuClocksNotHalted)
+                / counts.get(EventId::RetiredInstructions);
+            let own = core.at(record.cu_vf[i / 2]).cpi;
+            prop_assert!(
+                ((own - measured) / measured).abs() <= 1e-12,
+                "core {}: CPI {} at its own state vs measured {}", i, own, measured
+            );
+            for w in core.per_vf.windows(2) {
+                prop_assert!(
+                    w[1].cpi >= w[0].cpi,
+                    "core {}: CPI falls from {} to {} as f' rises", i, w[0].cpi, w[1].cpi
+                );
+            }
+        }
     }
 }
 
