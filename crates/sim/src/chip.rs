@@ -13,7 +13,7 @@
 use crate::engine::{event_counts, plan_subtick, ExecutionContext};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::nb::NorthBridge;
-use crate::physics::PowerPhysics;
+use crate::physics::{PowerPhysics, VfPhysics};
 use crate::sensor::PowerSensor;
 use crate::thermal::ThermalModel;
 use ppep_obs::RecorderHandle;
@@ -21,7 +21,7 @@ use ppep_pmc::sampler::{IntervalSample, IntervalSampler};
 use ppep_pmc::{EventCounts, EventId, Pmu};
 use ppep_types::time::{IntervalIndex, POWER_SAMPLE_PERIOD, SAMPLES_PER_INTERVAL};
 use ppep_types::vf::NbVfState;
-use ppep_types::{CoreId, CuId, Kelvin, Result, Topology, VfStateId, Watts};
+use ppep_types::{CoreId, CuId, Error, Kelvin, Result, Topology, VfStateId, Watts};
 use ppep_workloads::program::{ThreadCursor, ThreadProgram};
 use ppep_workloads::WorkloadSpec;
 use rand::rngs::StdRng;
@@ -111,6 +111,11 @@ struct CoreSlot {
     cursor: ThreadCursor,
 }
 
+/// True while a core holds a thread that has work left.
+fn slot_busy(slot: &Option<CoreSlot>) -> bool {
+    slot.as_ref().is_some_and(|s| !s.cursor.is_finished())
+}
+
 /// The simulated chip.
 pub struct ChipSimulator {
     config: SimConfig,
@@ -131,6 +136,14 @@ pub struct ChipSimulator {
     /// Observability sink for injected-fault counters; no-op unless
     /// installed via [`ChipSimulator::set_recorder`].
     recorder: RecorderHandle,
+    /// The physics' voltage-dependent constants, one entry per state
+    /// of the VF ladder. Built once in [`ChipSimulator::new`] from
+    /// `config.topology` and `config.physics`, which nothing mutates
+    /// afterwards, so the table never goes stale.
+    vf_physics: Vec<VfPhysics>,
+    /// The thermal decay of one 20 ms sub-tick; the thermal constants
+    /// are likewise fixed at construction.
+    subtick_decay: f64,
 }
 
 impl ChipSimulator {
@@ -154,6 +167,12 @@ impl ChipSimulator {
         };
         let highest = config.topology.vf_table().highest();
         let ambient = config.thermal.temperature();
+        let vf_physics = config
+            .topology
+            .vf_table()
+            .iter()
+            .map(|(_, point)| config.physics.at(point))
+            .collect();
         Self {
             slots: (0..cores).map(|_| None).collect(),
             samplers: (0..cores).map(make_sampler).collect(),
@@ -167,6 +186,8 @@ impl ChipSimulator {
             last_sensor_reading: 0.0,
             last_reported_temperature: ambient,
             recorder: RecorderHandle::noop(),
+            vf_physics,
+            subtick_decay: config.thermal.decay(POWER_SAMPLE_PERIOD),
             config,
         }
     }
@@ -255,6 +276,9 @@ impl ChipSimulator {
     }
 
     /// Sets every CU to the same VF state.
+    ///
+    /// A state from a different, longer ladder is not checked here;
+    /// the next [`ChipSimulator::step_interval_checked`] rejects it.
     pub fn set_all_vf(&mut self, vf: VfStateId) {
         for slot in self.cu_vf.iter_mut() {
             *slot = vf;
@@ -266,25 +290,31 @@ impl ChipSimulator {
     ///
     /// # Errors
     ///
-    /// Returns an error for an out-of-range CU.
+    /// Returns [`Error::UnknownCu`] for an out-of-range CU and
+    /// [`Error::UnknownVfState`] for a state outside this chip's VF
+    /// ladder (e.g. a boost state on a non-boost chip); the chip is
+    /// left unchanged.
     pub fn set_cu_vf(&mut self, cu: CuId, vf: VfStateId) -> Result<()> {
-        if cu.0 >= self.cu_vf.len() {
-            return Err(ppep_types::Error::UnknownCu {
-                cu: cu.0,
-                count: self.cu_vf.len(),
-            });
-        }
-        self.cu_vf[cu.0] = vf;
+        let vf = self.config.topology.vf_table().state(vf.index())?;
+        let count = self.cu_vf.len();
+        let slot = self
+            .cu_vf
+            .get_mut(cu.0)
+            .ok_or(Error::UnknownCu { cu: cu.0, count })?;
+        *slot = vf;
         Ok(())
     }
 
     /// The VF state of a CU.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics for an out-of-range CU.
-    pub fn cu_vf(&self, cu: CuId) -> VfStateId {
-        self.cu_vf[cu.0]
+    /// Returns [`Error::UnknownCu`] for an out-of-range CU.
+    pub fn cu_vf(&self, cu: CuId) -> Result<VfStateId> {
+        self.cu_vf.get(cu.0).copied().ok_or(Error::UnknownCu {
+            cu: cu.0,
+            count: self.cu_vf.len(),
+        })
     }
 
     /// Sets the NB operating point.
@@ -341,21 +371,21 @@ impl ChipSimulator {
 
     /// Instructions retired so far by a core's thread (0 for empty
     /// cores).
-    pub fn retired_instructions(&self, core: CoreId) -> f64 {
-        self.slots[core.0]
-            .as_ref()
-            .map_or(0.0, |s| s.cursor.retired_instructions())
-    }
-
-    fn core_busy(&self, core: usize) -> bool {
-        self.slots[core]
-            .as_ref()
-            .is_some_and(|s| !s.cursor.is_finished())
-    }
-
-    fn cu_has_busy_core(&self, cu: usize) -> bool {
-        let per = self.config.topology.cores_per_cu();
-        (0..per).any(|i| self.core_busy(cu * per + i))
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownCore`] for out-of-range ids.
+    pub fn retired_instructions(&self, core: CoreId) -> Result<f64> {
+        self.slots
+            .get(core.0)
+            .map(|slot| {
+                slot.as_ref()
+                    .map_or(0.0, |s| s.cursor.retired_instructions())
+            })
+            .ok_or(Error::UnknownCore {
+                core: core.0,
+                count: self.slots.len(),
+            })
     }
 
     /// Advances the chip by one 200 ms decision interval.
@@ -366,14 +396,15 @@ impl ChipSimulator {
     /// # Panics
     ///
     /// Panics when the installed [`FaultPlan`] schedules an
-    /// *erroring* fault for this interval — use
-    /// [`step_interval_checked`] when a plan is installed.
+    /// *erroring* fault for this interval, or when
+    /// [`ChipSimulator::set_all_vf`] stored a state from another VF
+    /// ladder — use [`step_interval_checked`] when either can happen.
     ///
     /// [`step_interval_checked`]: ChipSimulator::step_interval_checked
     pub fn step_interval(&mut self) -> IntervalRecord {
         self.step_interval_checked()
             // ppep-lint: allow(expect)
-            .expect("no erroring fault scheduled for this interval")
+            .expect("no erroring fault scheduled and every CU on this chip's ladder")
     }
 
     /// Advances the chip by one 200 ms decision interval, surfacing
@@ -391,8 +422,23 @@ impl ChipSimulator {
     ///
     /// Returns a transient error ([`ppep_types::Error::is_transient`])
     /// when an erroring fault strikes; the simulator stays consistent
-    /// and the next interval can be stepped normally.
+    /// and the next interval can be stepped normally. Returns
+    /// [`Error::UnknownVfState`] before anything advances when a CU
+    /// holds a state outside this chip's VF ladder.
     pub fn step_interval_checked(&mut self) -> Result<IntervalRecord> {
+        let cu_physics = self
+            .cu_vf
+            .iter()
+            .map(|vf| {
+                self.vf_physics
+                    .get(vf.index())
+                    .copied()
+                    .ok_or(Error::UnknownVfState {
+                        index: vf.index(),
+                        len: self.vf_physics.len(),
+                    })
+            })
+            .collect::<Result<Vec<VfPhysics>>>()?;
         let faults: Vec<FaultKind> = self.faults.kinds_at(self.interval.0).collect();
         if self.recorder.enabled() {
             for k in &faults {
@@ -423,10 +469,14 @@ impl ChipSimulator {
                 | FaultKind::MissedInterval { .. } => {}
             }
         }
-        let topo = self.config.topology.clone();
+        let topo = &self.config.topology;
         let cores = topo.core_count();
         let cus = topo.cu_count();
-        let vf_table = topo.vf_table().clone();
+        let per_cu = topo.cores_per_cu();
+        let issue_width = topo.issue_width();
+        let mispredict_penalty = topo.mispredict_penalty_cycles();
+        let physics = &self.config.physics;
+        let power_gating = self.config.power_gating;
         let dt = POWER_SAMPLE_PERIOD;
 
         let mut true_totals = vec![EventCounts::zero(); cores];
@@ -437,24 +487,27 @@ impl ChipSimulator {
         let mut acc_cu_idle = vec![0.0_f64; cus];
         let mut acc_nb_dyn = 0.0_f64;
         let mut acc_nb_idle = 0.0_f64;
+        // Per-sub-tick state, overwritten every sub-tick.
+        let mut subtick_counts = vec![EventCounts::zero(); cores];
+        let mut switching = vec![1.0_f64; cores];
+        let mut cu_busy = vec![false; cus];
 
         for _sub in 0..SAMPLES_PER_INTERVAL {
-            let temperature = self.thermal.temperature();
+            let tf = physics.temperature_factors(self.thermal.temperature());
             let contention = self.nb.contention_multiplier();
             let nb_latency = self.nb.latency_factor();
-            let mut subtick_counts = vec![EventCounts::zero(); cores];
-            let mut switching = vec![1.0_f64; cores];
             let mut total_misses = 0.0;
 
             for core in 0..cores {
-                let cu = core / topo.cores_per_cu();
+                let cu = core / per_cu;
                 let ctx = ExecutionContext {
-                    vf: vf_table.point(self.cu_vf[cu]),
-                    issue_width: topo.issue_width(),
-                    mispredict_penalty: topo.mispredict_penalty_cycles(),
+                    vf: cu_physics[cu].point(),
+                    issue_width,
+                    mispredict_penalty,
                     contention,
                     nb_latency_factor: nb_latency,
                 };
+                switching[core] = 1.0;
                 let counts = if let Some(slot) = self.slots[core].as_mut() {
                     if slot.cursor.is_finished() {
                         EventCounts::zero()
@@ -485,32 +538,27 @@ impl ChipSimulator {
             }
 
             self.nb.observe_traffic(total_misses, dt);
+            for (busy, cu_slots) in cu_busy.iter_mut().zip(self.slots.chunks(per_cu)) {
+                *busy = cu_slots.iter().any(slot_busy);
+            }
 
             // True power for this sub-tick.
-            let mut subtick_power = self.config.physics.base_power;
-            #[allow(clippy::needless_range_loop)] // cu indexes three arrays
-            for cu in 0..cus {
-                let vf = vf_table.point(self.cu_vf[cu]);
-                let idle = self.config.physics.cu_idle(vf, temperature).as_watts();
-                let gated = self.config.power_gating && !self.cu_has_busy_core(cu);
-                let w = if gated {
-                    idle * self.config.physics.pg_residual
+            let mut subtick_power = physics.base_power;
+            for ((acc, at), &busy) in acc_cu_idle.iter_mut().zip(&cu_physics).zip(&cu_busy) {
+                let idle = physics.cu_idle(at, &tf).as_watts();
+                let w = if power_gating && !busy {
+                    idle * physics.pg_residual
                 } else {
                     idle
                 };
-                acc_cu_idle[cu] += w;
+                *acc += w;
                 subtick_power += w;
             }
-            let nb_gated =
-                self.config.power_gating && (0..cus).all(|cu| !self.cu_has_busy_core(cu));
+            let nb_gated = power_gating && !cu_busy.contains(&true);
             let nb_idle_w = {
-                let idle = self
-                    .config
-                    .physics
-                    .nb_idle(self.nb.state(), temperature)
-                    .as_watts();
+                let idle = physics.nb_idle(self.nb.state(), &tf).as_watts();
                 if nb_gated {
-                    idle * self.config.physics.pg_residual
+                    idle * physics.pg_residual
                 } else {
                     idle
                 }
@@ -519,29 +567,26 @@ impl ChipSimulator {
             subtick_power += nb_idle_w;
 
             for core in 0..cores {
-                let cu = core / topo.cores_per_cu();
-                let v = vf_table.point(self.cu_vf[cu]).voltage;
+                let cu = core / per_cu;
+                let at = &cu_physics[cu];
                 // Data-dependent switching intensity is invisible to
                 // any counter-based model; it only scales true power.
                 let w = switching[core]
-                    * self
-                        .config
-                        .physics
-                        .core_dynamic(&subtick_counts[core], v, temperature, dt)
+                    * physics
+                        .core_dynamic(&subtick_counts[core], at, &tf, dt)
                         .as_watts();
                 acc_core_dyn[core] += w;
                 subtick_power += w;
             }
-            let nb_dyn = self
-                .config
-                .physics
+            let nb_dyn = physics
                 .nb_dynamic(total_misses, self.nb.state(), dt)
                 .as_watts();
             acc_nb_dyn += nb_dyn;
             subtick_power += nb_dyn;
 
             sensor_readings.push(self.sensor.sample(Watts::new(subtick_power)).as_watts());
-            self.thermal.step(Watts::new(subtick_power), dt);
+            self.thermal
+                .relax(Watts::new(subtick_power), self.subtick_decay);
 
             // PMU sees the sub-tick.
             for core in 0..cores {
@@ -648,7 +693,7 @@ impl ChipSimulator {
                 nb_dynamic: Watts::new(acc_nb_dyn / n),
                 cu_idle: acc_cu_idle.into_iter().map(|w| Watts::new(w / n)).collect(),
                 nb_idle: Watts::new(acc_nb_idle / n),
-                base: Watts::new(self.config.physics.base_power),
+                base: Watts::new(physics.base_power),
             },
             temperature: reported_temperature,
             cu_vf: self.cu_vf.clone(),
@@ -833,7 +878,11 @@ mod tests {
         assert!(sim.all_finished(), "dedup must complete");
         assert!(records.len() < 100_000);
         let core0 = CoreId(0);
-        assert!(sim.retired_instructions(core0) > 0.0);
+        assert!(sim.retired_instructions(core0).unwrap() > 0.0);
+        assert_eq!(
+            sim.retired_instructions(CoreId(8)),
+            Err(ppep_types::Error::UnknownCore { core: 8, count: 8 })
+        );
     }
 
     #[test]
@@ -856,11 +905,36 @@ mod tests {
         let mut sim = idle_chip();
         let table = sim.topology().vf_table().clone();
         sim.set_cu_vf(CuId(1), table.lowest()).unwrap();
-        assert_eq!(sim.cu_vf(CuId(1)), table.lowest());
-        assert_eq!(sim.cu_vf(CuId(0)), table.highest());
+        assert_eq!(sim.cu_vf(CuId(1)), Ok(table.lowest()));
+        assert_eq!(sim.cu_vf(CuId(0)), Ok(table.highest()));
         assert!(sim.set_cu_vf(CuId(9), table.lowest()).is_err());
+        assert_eq!(
+            sim.cu_vf(CuId(9)),
+            Err(ppep_types::Error::UnknownCu { cu: 9, count: 4 })
+        );
         let rec = sim.step_interval();
         assert_eq!(rec.cu_vf[1], table.lowest());
+    }
+
+    #[test]
+    fn foreign_vf_state_fails_the_step_before_it_advances() {
+        let boost = ppep_types::VfTable::fx8320_with_boost().highest();
+        let unknown = ppep_types::Error::UnknownVfState {
+            index: boost.index(),
+            len: 5,
+        };
+        let mut sim = ChipSimulator::new(SimConfig::fx8320(42));
+        sim.load_workload(&instances("458.sjeng", 2, 42));
+        // set_all_vf does not check; the next step rejects the state
+        // before the chip advances.
+        sim.set_all_vf(boost);
+        let temperature = sim.temperature();
+        assert_eq!(sim.step_interval_checked().unwrap_err(), unknown);
+        assert_eq!(sim.current_interval(), IntervalIndex(0));
+        assert_eq!(sim.temperature(), temperature);
+        assert_eq!(sim.retired_instructions(CoreId(0)), Ok(0.0));
+        sim.set_all_vf(sim.topology().vf_table().lowest());
+        assert_eq!(sim.step_interval().index, IntervalIndex(0));
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //!
 //! All constants are calibrated so chip-level magnitudes resemble the
 //! FX-8320: ~35 W idle (PG off, VF5), ~95–115 W fully loaded.
+//!
+//! The voltage-dependent terms (`(V/Vref)^β_i`, the leakage voltage
+//! exponential, active idle) depend only on the VF operating point, so
+//! [`PowerPhysics::at`] evaluates them once per point into a
+//! [`VfPhysics`] table entry. The temperature terms depend only on the
+//! die temperature, so [`PowerPhysics::temperature_factors`] evaluates
+//! them once per sub-tick. The power formulas read both.
 
 use ppep_pmc::EventCounts;
 use ppep_types::vf::NbVfState;
@@ -37,11 +44,37 @@ pub struct EventEnergy {
     pub beta: f64,
 }
 
-impl EventEnergy {
-    /// Energy in joules for `count` events at voltage `v`.
-    pub fn energy(&self, count: f64, v: Volts) -> f64 {
-        self.nanojoules * 1e-9 * count * (v / REFERENCE_VOLTAGE).powf(self.beta)
+/// The voltage-dependent constants of a [`PowerPhysics`] at one VF
+/// operating point, built by [`PowerPhysics::at`]. The fields are
+/// private so an entry always matches the physics that built it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VfPhysics {
+    /// The operating point the constants were evaluated at.
+    point: VfPoint,
+    /// `(V / Vref)^β_i` for each event class, in E1–E9 order.
+    event_scale: [f64; 9],
+    /// Leakage voltage factor `exp(leak_volt_coeff · (V − Vref))`.
+    leak_voltage_factor: f64,
+    /// CU active-idle power at this point.
+    cu_active_idle: Watts,
+}
+
+impl VfPhysics {
+    /// The operating point the constants were evaluated at.
+    pub fn point(&self) -> VfPoint {
+        self.point
     }
+}
+
+/// The temperature-dependent factors of a [`PowerPhysics`] at one die
+/// temperature, built by [`PowerPhysics::temperature_factors`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TemperatureFactors {
+    /// Leakage temperature factor `exp(leak_temp_coeff · (T − Tref))`,
+    /// shared by CU and NB leakage.
+    leakage: f64,
+    /// Dynamic temperature factor `1 + dyn_temp_coeff · (T − Tref)`.
+    dynamic: f64,
 }
 
 /// The complete generative power model for one chip.
@@ -195,12 +228,32 @@ impl PowerPhysics {
         }
     }
 
-    /// CU leakage power at core voltage `v` and chip temperature `t`
-    /// (not gated).
-    pub fn cu_leakage(&self, v: Volts, t: Kelvin) -> Watts {
-        let vf = (self.leak_volt_coeff * (v.as_volts() - REFERENCE_VOLTAGE.as_volts())).exp();
-        let tf = (self.leak_temp_coeff * (t.as_kelvin() - REFERENCE_TEMPERATURE.as_kelvin())).exp();
-        Watts::new(self.cu_leak_ref * vf * tf)
+    /// The voltage-dependent constants at operating point `point`.
+    pub fn at(&self, point: VfPoint) -> VfPhysics {
+        let ratio = point.voltage / REFERENCE_VOLTAGE;
+        VfPhysics {
+            point,
+            event_scale: self.event_energy.map(|e| ratio.powf(e.beta)),
+            leak_voltage_factor: (self.leak_volt_coeff
+                * (point.voltage.as_volts() - REFERENCE_VOLTAGE.as_volts()))
+            .exp(),
+            cu_active_idle: self.cu_active_idle(point),
+        }
+    }
+
+    /// The temperature-dependent factors at die temperature `t`.
+    pub fn temperature_factors(&self, t: Kelvin) -> TemperatureFactors {
+        let above = t.as_kelvin() - REFERENCE_TEMPERATURE.as_kelvin();
+        TemperatureFactors {
+            leakage: (self.leak_temp_coeff * above).exp(),
+            dynamic: 1.0 + self.dyn_temp_coeff * above,
+        }
+    }
+
+    /// CU leakage power at operating point `at` and temperature
+    /// factors `tf` (not gated).
+    pub fn cu_leakage(&self, at: &VfPhysics, tf: &TemperatureFactors) -> Watts {
+        Watts::new(self.cu_leak_ref * at.leak_voltage_factor * tf.leakage)
     }
 
     /// CU active-idle power (housekeeping clocking) at operating point
@@ -212,15 +265,14 @@ impl PowerPhysics {
     }
 
     /// Total idle power of one CU (leakage + active idle), not gated.
-    pub fn cu_idle(&self, vf: VfPoint, t: Kelvin) -> Watts {
-        self.cu_leakage(vf.voltage, t) + self.cu_active_idle(vf)
+    pub fn cu_idle(&self, at: &VfPhysics, tf: &TemperatureFactors) -> Watts {
+        self.cu_leakage(at, tf) + at.cu_active_idle
     }
 
     /// NB idle power (leakage + active idle) at NB state `nb` and
-    /// temperature `t`, not gated.
-    pub fn nb_idle(&self, nb: NbVfState, t: Kelvin) -> Watts {
-        let tf = (self.leak_temp_coeff * (t.as_kelvin() - REFERENCE_TEMPERATURE.as_kelvin())).exp();
-        let stock = self.nb_leak_ref * tf + self.nb_active_idle;
+    /// temperature factors `tf`, not gated.
+    pub fn nb_idle(&self, nb: NbVfState, tf: &TemperatureFactors) -> Watts {
+        let stock = self.nb_leak_ref * tf.leakage + self.nb_active_idle;
         let scale = match nb {
             NbVfState::High => 1.0,
             NbVfState::Low => 1.0 - self.nb_low_idle_drop,
@@ -228,20 +280,28 @@ impl PowerPhysics {
         Watts::new(stock * scale)
     }
 
-    /// Dynamic power of one core over `dt` given its event counts,
-    /// core voltage, and chip temperature.
+    /// Dynamic power of one core over `dt` given its event counts, its
+    /// operating point `at`, and temperature factors `tf`.
     ///
     /// Counts are the nine E1–E9 totals for the period; the result is
     /// average power over the period.
-    pub fn core_dynamic(&self, counts: &EventCounts, v: Volts, t: Kelvin, dt: Seconds) -> Watts {
-        let vector = counts.power_model_vector();
+    pub fn core_dynamic(
+        &self,
+        counts: &EventCounts,
+        at: &VfPhysics,
+        tf: &TemperatureFactors,
+        dt: Seconds,
+    ) -> Watts {
         let mut joules = 0.0;
-        for (energy, count) in self.event_energy.iter().zip(vector) {
-            joules += energy.energy(count, v);
+        for ((energy, count), scale) in self
+            .event_energy
+            .iter()
+            .zip(counts.power_model_vector())
+            .zip(at.event_scale)
+        {
+            joules += energy.nanojoules * 1e-9 * count * scale;
         }
-        let temp_factor =
-            1.0 + self.dyn_temp_coeff * (t.as_kelvin() - REFERENCE_TEMPERATURE.as_kelvin());
-        Watts::new(joules * temp_factor / dt.as_secs())
+        Watts::new(joules * tf.dynamic / dt.as_secs())
     }
 
     /// NB dynamic power over `dt` from the chip-wide L2 miss count.
@@ -274,12 +334,22 @@ mod tests {
         VfTable::fx8320().point(VfTable::fx8320().lowest())
     }
 
+    /// The table entry at a bare voltage (the frequency only feeds
+    /// active idle).
+    fn at_volts(p: &PowerPhysics, v: f64) -> VfPhysics {
+        p.at(VfPoint::new(Volts::new(v), Gigahertz::new(3.5)))
+    }
+
+    fn temp(p: &PowerPhysics, kelvin: f64) -> TemperatureFactors {
+        p.temperature_factors(Kelvin::new(kelvin))
+    }
+
     #[test]
     fn chip_idle_magnitude_is_fx8320_like() {
         let p = PowerPhysics::fx8320();
-        let t = Kelvin::new(315.0);
-        let idle = 4.0 * p.cu_idle(vf5(), t).as_watts()
-            + p.nb_idle(NbVfState::High, t).as_watts()
+        let tf = temp(&p, 315.0);
+        let idle = 4.0 * p.cu_idle(&p.at(vf5()), &tf).as_watts()
+            + p.nb_idle(NbVfState::High, &tf).as_watts()
             + p.base_power;
         assert!((25.0..=45.0).contains(&idle), "chip idle at VF5 = {idle} W");
     }
@@ -287,10 +357,10 @@ mod tests {
     #[test]
     fn leakage_monotonic_in_voltage_and_temperature() {
         let p = PowerPhysics::fx8320();
-        let t = Kelvin::new(320.0);
-        assert!(p.cu_leakage(Volts::new(1.32), t) > p.cu_leakage(Volts::new(0.888), t));
-        let v = Volts::new(1.1);
-        assert!(p.cu_leakage(v, Kelvin::new(340.0)) > p.cu_leakage(v, Kelvin::new(305.0)));
+        let tf = temp(&p, 320.0);
+        assert!(p.cu_leakage(&at_volts(&p, 1.32), &tf) > p.cu_leakage(&at_volts(&p, 0.888), &tf));
+        let at = at_volts(&p, 1.1);
+        assert!(p.cu_leakage(&at, &temp(&p, 340.0)) > p.cu_leakage(&at, &temp(&p, 305.0)));
     }
 
     #[test]
@@ -299,10 +369,10 @@ mod tests {
         // close to linear over 300-340 K (within a few percent of a
         // secant-line interpolation).
         let p = PowerPhysics::fx8320();
-        let v = Volts::new(1.32);
-        let lo = p.cu_leakage(v, Kelvin::new(300.0)).as_watts();
-        let hi = p.cu_leakage(v, Kelvin::new(340.0)).as_watts();
-        let mid_true = p.cu_leakage(v, Kelvin::new(320.0)).as_watts();
+        let at = at_volts(&p, 1.32);
+        let lo = p.cu_leakage(&at, &temp(&p, 300.0)).as_watts();
+        let hi = p.cu_leakage(&at, &temp(&p, 340.0)).as_watts();
+        let mid_true = p.cu_leakage(&at, &temp(&p, 320.0)).as_watts();
         let mid_linear = (lo + hi) / 2.0;
         let deviation = (mid_true - mid_linear).abs() / mid_true;
         assert!(deviation < 0.05, "leakage deviates {deviation} from linear");
@@ -312,9 +382,9 @@ mod tests {
     #[test]
     fn vf1_idle_is_much_cheaper_than_vf5() {
         let p = PowerPhysics::fx8320();
-        let t = Kelvin::new(310.0);
-        let hi = p.cu_idle(vf5(), t).as_watts();
-        let lo = p.cu_idle(vf1(), t).as_watts();
+        let tf = temp(&p, 310.0);
+        let hi = p.cu_idle(&p.at(vf5()), &tf).as_watts();
+        let lo = p.cu_idle(&p.at(vf1()), &tf).as_watts();
         assert!(lo < 0.5 * hi, "VF1 CU idle {lo} vs VF5 {hi}");
     }
 
@@ -334,7 +404,7 @@ mod tests {
         c.set(EventId::RetiredMispredictedBranches, 0.005 * inst);
         c.set(EventId::L2CacheMisses, 0.001 * inst);
         c.set(EventId::DispatchStalls, 0.3 * inst);
-        let w = p.core_dynamic(&c, Volts::new(1.32), Kelvin::new(325.0), dt);
+        let w = p.core_dynamic(&c, &at_volts(&p, 1.32), &temp(&p, 325.0), dt);
         assert!(
             (8.0..=20.0).contains(&w.as_watts()),
             "busy core dynamic = {} W",
@@ -348,8 +418,9 @@ mod tests {
         let dt = Seconds::new(0.2);
         let mut c = EventCounts::zero();
         c.set(EventId::RetiredUops, 1e9);
-        let hi = p.core_dynamic(&c, Volts::new(1.32), REFERENCE_TEMPERATURE, dt);
-        let lo = p.core_dynamic(&c, Volts::new(0.888), REFERENCE_TEMPERATURE, dt);
+        let tf = p.temperature_factors(REFERENCE_TEMPERATURE);
+        let hi = p.core_dynamic(&c, &at_volts(&p, 1.32), &tf, dt);
+        let lo = p.core_dynamic(&c, &at_volts(&p, 0.888), &tf, dt);
         let ratio = hi / lo;
         let v_ratio: f64 = 1.32 / 0.888;
         assert!((ratio - v_ratio.powf(2.0)).abs() / ratio < 0.05);
@@ -361,8 +432,9 @@ mod tests {
         let dt = Seconds::new(0.2);
         let mut c = EventCounts::zero();
         c.set(EventId::RetiredUops, 1e9);
-        let cold = p.core_dynamic(&c, Volts::new(1.32), Kelvin::new(305.0), dt);
-        let hot = p.core_dynamic(&c, Volts::new(1.32), Kelvin::new(340.0), dt);
+        let at = at_volts(&p, 1.32);
+        let cold = p.core_dynamic(&c, &at, &temp(&p, 305.0), dt);
+        let hot = p.core_dynamic(&c, &at, &temp(&p, 340.0), dt);
         let rel = (hot - cold) / cold;
         assert!(rel > 0.0 && rel < 0.08, "temperature effect {rel}");
     }
@@ -370,9 +442,9 @@ mod tests {
     #[test]
     fn nb_low_state_saves_what_the_study_assumes() {
         let p = PowerPhysics::fx8320();
-        let t = Kelvin::new(320.0);
-        let idle_hi = p.nb_idle(NbVfState::High, t).as_watts();
-        let idle_lo = p.nb_idle(NbVfState::Low, t).as_watts();
+        let tf = temp(&p, 320.0);
+        let idle_hi = p.nb_idle(NbVfState::High, &tf).as_watts();
+        let idle_lo = p.nb_idle(NbVfState::Low, &tf).as_watts();
         assert!((idle_lo / idle_hi - 0.6).abs() < 1e-9, "idle drops 40%");
         let dt = Seconds::new(0.2);
         let dyn_hi = p.nb_dynamic(1e7, NbVfState::High, dt).as_watts();
@@ -393,11 +465,11 @@ mod tests {
     #[test]
     fn phenom_preset_differs_but_is_plausible() {
         let p = PowerPhysics::phenom_ii_x6();
-        let t = Kelvin::new(315.0);
+        let tf = temp(&p, 315.0);
         let table = VfTable::phenom_ii_x6();
         let top = table.point(table.highest());
-        let idle = 6.0 * p.cu_idle(top, t).as_watts()
-            + p.nb_idle(NbVfState::High, t).as_watts()
+        let idle = 6.0 * p.cu_idle(&p.at(top), &tf).as_watts()
+            + p.nb_idle(NbVfState::High, &tf).as_watts()
             + p.base_power;
         assert!((25.0..=60.0).contains(&idle), "Phenom idle = {idle} W");
     }

@@ -143,6 +143,24 @@ mod tests {
     }
 
     #[test]
+    fn apply_rejects_foreign_vf_states() {
+        // A decision from the boost ladder applied to a non-boost chip.
+        let mut platform = SimPlatform::from_config(SimConfig::fx8320(7));
+        let boost = ppep_types::VfTable::fx8320_with_boost().highest();
+        assert_eq!(
+            platform.apply(&[boost; 4]),
+            Err(ppep_types::Error::UnknownVfState {
+                index: boost.index(),
+                len: 5
+            })
+        );
+        let highest = platform.topology().vf_table().highest();
+        assert_eq!(platform.cu_vf(CuId(0)), Ok(highest));
+        let record = platform.sample().unwrap();
+        assert_eq!(record.cu_vf, vec![highest; 4]);
+    }
+
+    #[test]
     fn apply_uniform_matches_set_all_vf() {
         let mut a = SimPlatform::from_config(SimConfig::fx8320(9));
         let mut b = ChipSimulator::new(SimConfig::fx8320(9));

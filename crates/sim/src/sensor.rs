@@ -18,8 +18,8 @@ use rand::{Rng, SeedableRng};
 /// use ppep_types::Watts;
 ///
 /// let mut sensor = PowerSensor::new(42);
-/// let reading = sensor.sample_average(Watts::new(95.0), 10);
-/// assert!((reading.as_watts() - 95.0).abs() < 3.0);
+/// let reading = sensor.sample(Watts::new(95.0));
+/// assert!((reading.as_watts() - 95.0).abs() < 8.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PowerSensor {
@@ -73,15 +73,6 @@ impl PowerSensor {
         }
         Watts::new(w.max(0.0))
     }
-
-    /// Averages `n` consecutive samples of a constant true power — the
-    /// per-interval averaging the paper applies (10 samples per 200 ms
-    /// interval).
-    pub fn sample_average(&mut self, true_power: Watts, n: usize) -> Watts {
-        assert!(n > 0, "average over zero samples");
-        let sum: f64 = (0..n).map(|_| self.sample(true_power).as_watts()).sum();
-        Watts::new(sum / n as f64)
-    }
 }
 
 #[cfg(test)]
@@ -133,37 +124,11 @@ mod tests {
     }
 
     #[test]
-    fn averaging_reduces_noise() {
-        let truth = Watts::new(80.0);
-        let mut single = PowerSensor::new(11);
-        let mut averaged = PowerSensor::new(11);
-        let n = 2000;
-        let var = |vals: &[f64]| {
-            let m = vals.iter().sum::<f64>() / vals.len() as f64;
-            vals.iter().map(|v| (v - m).powi(2)).sum::<f64>() / vals.len() as f64
-        };
-        let singles: Vec<f64> = (0..n).map(|_| single.sample(truth).as_watts()).collect();
-        let averages: Vec<f64> = (0..n)
-            .map(|_| averaged.sample_average(truth, 10).as_watts())
-            .collect();
-        assert!(
-            var(&averages) < var(&singles) / 5.0,
-            "10-sample averaging must shrink variance ~10x"
-        );
-    }
-
-    #[test]
     fn determinism_per_seed() {
         let mut a = PowerSensor::new(5);
         let mut b = PowerSensor::new(5);
         for _ in 0..100 {
             assert_eq!(a.sample(Watts::new(50.0)), b.sample(Watts::new(50.0)));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "average over zero samples")]
-    fn zero_sample_average_rejected() {
-        let _ = PowerSensor::new(1).sample_average(Watts::new(1.0), 0);
     }
 }

@@ -85,8 +85,20 @@ impl ThermalModel {
     /// exact exponential solution of the linear ODE (stable for any
     /// step size).
     pub fn step(&mut self, p: Watts, dt: Seconds) {
+        self.relax(p, self.decay(dt));
+    }
+
+    /// The fraction `exp(−dt / RC)` of the gap to steady state that
+    /// survives a step of length `dt`. A caller stepping a fixed `dt`
+    /// evaluates it once and advances with [`ThermalModel::relax`].
+    pub fn decay(&self, dt: Seconds) -> f64 {
+        (-dt.as_secs() / self.time_constant().as_secs()).exp()
+    }
+
+    /// Advances the node under dissipated power `p` by a step whose
+    /// [`ThermalModel::decay`] is `decay`.
+    pub fn relax(&mut self, p: Watts, decay: f64) {
         let target = self.steady_state(p).as_kelvin();
-        let decay = (-dt.as_secs() / self.time_constant().as_secs()).exp();
         let t = target + (self.temperature.as_kelvin() - target) * decay;
         self.temperature = Kelvin::new(t);
     }
