@@ -89,13 +89,14 @@ impl EnergyPredictor {
         let mut ppep = Vec::with_capacity(records.len() - 1);
         let mut gg = Vec::with_capacity(records.len() - 1);
         for pair in records.windows(2) {
-            let actual = pair[1].measured_energy().as_joules();
+            let [prev, next] = pair else { continue };
+            let actual = next.measured_energy().as_joules();
             if actual <= 0.0 {
                 continue;
             }
-            let p = self.predict_next_energy(&pair[0])?.as_joules();
+            let p = self.predict_next_energy(prev)?.as_joules();
             ppep.push((p - actual).abs() / actual);
-            let g = self.predict_next_energy_gg(&pair[0])?.as_joules();
+            let g = self.predict_next_energy_gg(prev)?.as_joules();
             gg.push((g - actual).abs() / actual);
         }
         Ok((ppep, gg))

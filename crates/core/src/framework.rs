@@ -102,6 +102,10 @@ impl Ppep {
     /// [`Error::InvalidInput`] for a record measured at the low NB
     /// point or whose CU assignment does not fit the model bundle;
     /// otherwise propagates event-predictor and model errors.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "nb_dynamic_by_vf is sized to the VF table; vf.index() < table len by construction"
+    )]
     pub fn project_nb(
         &self,
         record: &IntervalRecord,

@@ -48,6 +48,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No panics, exhaustive matches and bound span guards in non-test code;
+// each surviving site carries `#[expect(.., reason)]` (DESIGN.md §8).
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::unreachable))]
+#![cfg_attr(not(test), warn(clippy::todo))]
+#![cfg_attr(not(test), warn(clippy::unimplemented))]
+#![cfg_attr(not(test), warn(clippy::indexing_slicing))]
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
 
 pub mod batch;
 pub mod daemon;

@@ -39,6 +39,10 @@ impl CoreProjection {
     /// # Panics
     ///
     /// Panics for a VF index outside the ladder.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per_vf is built with exactly one entry per VfStateId; index() < table len by construction"
+    )]
     pub fn at(&self, vf: VfStateId) -> &CoreAtVf {
         &self.per_vf[vf.index()]
     }
@@ -105,6 +109,10 @@ impl PpeProjection {
     /// # Panics
     ///
     /// Panics for a VF index outside the ladder.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "chip is built with exactly one entry per VfStateId; index() < table len by construction"
+    )]
     pub fn chip_at(&self, vf: VfStateId) -> &ChipPpe {
         &self.chip[vf.index()]
     }

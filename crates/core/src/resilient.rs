@@ -441,6 +441,10 @@ impl<P: Platform, C: DvfsController> ResilientDaemon<P, C> {
                 // Best-effort pin: the ladder already recorded `e`
                 // and the caller sees it, so a secondary actuation
                 // error here has nowhere useful to go.
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "best-effort failsafe pin; the measurement fault is what the caller sees"
+                )]
                 let _ = self
                     .inner
                     .platform_mut()

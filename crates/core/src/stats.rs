@@ -26,6 +26,10 @@ impl RunStats {
     }
 
     /// Folds one daemon step into the statistics.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "residency is resized to cu_count x (vf.index() + 1) just above before indexing"
+    )]
     pub fn record(&mut self, step: &DaemonStep) {
         self.intervals += 1;
         self.energy_j += step.record.measured_energy().as_joules();

@@ -75,6 +75,10 @@ impl BoostController {
     /// # Errors
     ///
     /// Propagates projection-evaluation errors.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "cu ranges over 0..assignment.len(); candidate is a clone of assignment"
+    )]
     pub fn choose(&self, projection: &PpeProjection) -> Result<Vec<VfStateId>> {
         let table = self.ppep.models().vf_table().clone();
         let cu_count = projection.source_vf.len();

@@ -77,6 +77,10 @@ impl OneStepCapping {
     /// # Errors
     ///
     /// Propagates projection-evaluation errors.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "cu ranges over 0..cu_count == assignment.len(); candidate is a clone of assignment"
+    )]
     pub fn choose(&self, projection: &PpeProjection) -> Result<Vec<VfStateId>> {
         let table = self.ppep.models().vf_table().clone();
         let cu_count = projection.source_vf.len();
@@ -345,6 +349,10 @@ impl SteepestDrop {
     /// # Errors
     ///
     /// Propagates projection-evaluation errors.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "cu ranges over 0..cu_count == assignment.len(); candidate is a clone of assignment"
+    )]
     pub fn choose(&self, projection: &PpeProjection) -> Result<Vec<VfStateId>> {
         let table = self.ppep.models().vf_table().clone();
         let cores_per_cu = self.ppep.models().topology().cores_per_cu();

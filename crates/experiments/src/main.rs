@@ -4,7 +4,7 @@
 //! ppep-experiments [--quick] [--seed N] [--out DIR] [--jobs N] \
 //!     [--policy-a P] [--policy-b P] [--trace PATH] [--shards N] \
 //!     [--tenants N] [--transport unix|tcp] \
-//!     <fig1|cpi|idle|obs|fig2|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|phenom|ablations|resilience|overhead|replay|diff-policies|bench-parallel|serve|serve-chaos|load-gen|serve-bench|accuracy-watch|summary|all>
+//!     <fig1|cpi|idle|obs|fig2|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|phenom|ablations|resilience|overhead|replay|diff-policies|serve|serve-chaos|load-gen|serve-bench|accuracy-watch|summary|all>
 //! ```
 //!
 //! With `--out DIR`, figure commands additionally write their data as
@@ -35,6 +35,11 @@
 //! binary v2); without it the watch scores a synthesized clean run.
 //! On a clean trace the accuracy gate is the exit code.
 
+// Exhaustive matches and bound span guards in non-test code; each
+// surviving site carries `#[expect(.., reason)]` (DESIGN.md §8).
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
+
 use ppep_experiments::common::{Context, Scale, DEFAULT_SEED};
 use ppep_experiments::diff_policies::PolicyKind;
 use ppep_experiments::*;
@@ -47,7 +52,7 @@ fn usage() -> ExitCode {
          [--policy-a P] [--policy-b P] [--trace PATH] [--shards N] \
          [--tenants N] [--transport unix|tcp] \
          <fig1|cpi|idle|obs|fig2|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|phenom|ablations|\
-         resilience|overhead|replay|diff-policies|bench-parallel|serve|serve-chaos|\
+         resilience|overhead|replay|diff-policies|serve|serve-chaos|\
          load-gen|serve-bench|accuracy-watch|summary|all>\n\
          policies: one-step | iterative | steepest-drop | energy-optimal | recorded"
     );
@@ -274,16 +279,6 @@ fn dispatch(
                     "self-replay diff diverged: the replayed policy no longer \
                      reproduces its recorded decisions"
                         .into(),
-                ));
-            }
-        }
-        "bench-parallel" => {
-            let r = bench_parallel::run(ctx)?;
-            bench_parallel::print(&r);
-            save(out, "BENCH_parallel.json", bench_parallel::bench_json(&r));
-            if !r.identical {
-                return Err(ppep_types::Error::InvalidInput(
-                    "sharded sweep traces diverged from the serial ones".into(),
                 ));
             }
         }

@@ -269,6 +269,10 @@ pub fn overhead_csv(r: &overhead::OverheadResult) -> String {
 
 /// The overhead experiment's machine-readable verdict
 /// (`BENCH_overhead.json`), consumed by the CI smoke step.
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write for String is infallible"
+)]
 pub fn overhead_bench_json(r: &overhead::OverheadResult) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -300,10 +304,10 @@ pub fn overhead_bench_json(r: &overhead::OverheadResult) -> String {
 
 /// A one-line human summary of which files a writer produced.
 pub fn written_summary(paths: &[String]) -> String {
-    let mut s = String::new();
-    let _ = write!(s, "wrote {} CSV file(s):", paths.len());
+    let mut s = format!("wrote {} CSV file(s):", paths.len());
     for p in paths {
-        let _ = write!(s, " {p}");
+        s.push(' ');
+        s.push_str(p);
     }
     s
 }

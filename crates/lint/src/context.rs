@@ -65,16 +65,11 @@ impl SourceFile {
             .get(&line)
             .is_some_and(|set| set.contains(rule))
     }
-
-    /// Index of the token matching the opening bracket at `open`
-    /// (which must be `(`, `[` or `{`). Returns the last token index
-    /// on unbalanced input rather than panicking.
-    pub fn matching_bracket(&self, open: usize) -> usize {
-        matching_bracket(&self.tokens, open)
-    }
 }
 
-/// See [`SourceFile::matching_bracket`].
+/// Index of the token matching the opening bracket at `open` (which
+/// must be `(`, `[` or `{`). Returns the last token index on
+/// unbalanced input rather than panicking.
 pub fn matching_bracket(tokens: &[Token], open: usize) -> usize {
     let mut depth = 0i64;
     for (j, t) in tokens.iter().enumerate().skip(open) {
@@ -182,20 +177,19 @@ mod tests {
 
     #[test]
     fn trailing_and_standalone_suppressions() {
-        let src = "let a = x.unwrap(); // ppep-lint: allow(unwrap)\n// ppep-lint: allow(expect, panic)\nlet b = y.expect(\"z\");\n";
+        let src = "let a = x; // ppep-lint: allow(raw-f64)\n// ppep-lint: allow(stale-projection, dropped-transient)\nlet b = y;\n";
         let f = SourceFile::parse("x.rs", "ppep-core", src);
-        assert!(f.is_suppressed("unwrap", 1));
-        assert!(!f.is_suppressed("expect", 1));
-        assert!(f.is_suppressed("expect", 3));
-        assert!(f.is_suppressed("panic", 3));
+        assert!(f.is_suppressed("raw-f64", 1));
+        assert!(!f.is_suppressed("stale-projection", 1));
+        assert!(f.is_suppressed("stale-projection", 3));
+        assert!(f.is_suppressed("dropped-transient", 3));
     }
 
     #[test]
     fn group_alias_expands() {
-        let src = "// ppep-lint: allow(L1)\nlet a = x.unwrap();\n";
-        let f = SourceFile::parse("x.rs", "ppep-core", src);
-        assert!(f.is_suppressed("unwrap", 2));
-        assert!(f.is_suppressed("index-arith", 2));
-        assert!(!f.is_suppressed("raw-f64", 2));
+        let src = "// ppep-lint: allow(L2)\npub fn f(x: f64) {}\n";
+        let f = SourceFile::parse("x.rs", "ppep-models", src);
+        assert!(f.is_suppressed("raw-f64", 2));
+        assert!(!f.is_suppressed("unguarded-output", 2));
     }
 }

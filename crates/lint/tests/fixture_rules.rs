@@ -19,31 +19,6 @@ fn hits(src: &str, crate_name: &str, rule: &str) -> Vec<u32> {
 }
 
 #[test]
-fn l1_fixture_exact_violations() {
-    let src = fixture("l1_panic_paths.rs");
-    assert_eq!(hits(&src, "ppep-sim", "unwrap"), vec![5]);
-    assert_eq!(hits(&src, "ppep-sim", "expect"), vec![9]);
-    assert_eq!(hits(&src, "ppep-sim", "panic"), vec![14]);
-    assert_eq!(hits(&src, "ppep-sim", "index-arith"), vec![19]);
-}
-
-#[test]
-fn l1_suppression_and_test_code_are_exempt() {
-    let src = fixture("l1_panic_paths.rs");
-    // Only line 5 is flagged: the unwrap on line 23 carries a trailing
-    // `// ppep-lint: allow(unwrap)` and the one in `mod tests` is test
-    // code.
-    assert_eq!(hits(&src, "ppep-sim", "unwrap"), vec![5]);
-}
-
-#[test]
-fn l1_only_fires_in_runtime_crates() {
-    let src = fixture("l1_panic_paths.rs");
-    assert!(hits(&src, "ppep-experiments", "unwrap").is_empty());
-    assert!(hits(&src, "ppep-lint", "panic").is_empty());
-}
-
-#[test]
 fn l2_fixture_exact_violations() {
     let src = fixture("l2_raw_f64.rs");
     // Line 4: bare `f64` parameter. Line 8: bare `f64` return. The
@@ -79,14 +54,6 @@ fn l2_allowlist_entry_exempts_named_item_only() {
 fn allowlist_without_reason_is_rejected() {
     assert!(Allowlist::parse("raw-f64 fixtures/test.rs bad_param").is_err());
     assert!(Allowlist::parse("raw-f64 fixtures/test.rs bad_param --").is_err());
-}
-
-#[test]
-fn l3_fixture_exact_violations() {
-    let src = fixture("l3_wildcard.rs");
-    // Line 8: `_` arm. Line 15: lone lowercase binding. Line 22 is
-    // suppressed; the `SmallKind` match is not a domain enum.
-    assert_eq!(hits(&src, "ppep-sim", "wildcard-match"), vec![8, 15]);
 }
 
 #[test]
@@ -177,10 +144,10 @@ fn every_documented_group_alias_expands() {
             groups.push(format!("L{digits}"));
         }
     }
-    assert!(
-        groups.len() >= 8,
-        "doc table lists {} groups; expected the full L1..L8 set",
-        groups.len()
+    assert_eq!(
+        groups,
+        ["L2", "L4", "L5", "L7", "L8"],
+        "doc table lists every group ppep-lint still owns"
     );
     let mut covered = std::collections::BTreeSet::new();
     for g in &groups {

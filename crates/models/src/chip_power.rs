@@ -152,6 +152,10 @@ impl ChipPowerModel {
     ///
     /// Returns [`Error::NotTrained`] when no PG model is attached, or
     /// validation errors from the decomposition.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "cu indexes cu_vf, whose length equals the validated CU count"
+    )]
     pub fn estimate_chip_pg(
         &self,
         samples: &[IntervalSample],
@@ -191,6 +195,10 @@ impl ChipPowerModel {
     ///
     /// Returns [`Error::NotTrained`] without a PG model and input
     /// validation errors.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "busy and cu_vf are sized by the validated core/CU counts the loop iterates over"
+    )]
     pub fn per_core_power_pg(
         &self,
         samples: &[IntervalSample],

@@ -217,6 +217,10 @@ fn cumulative_cycles(
     out
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i comes from binary_search Ok, so it is a valid curve index"
+)]
 fn interpolate(curve: &[(f64, f64)], x: f64) -> f64 {
     match curve.binary_search_by(|(xi, _)| xi.total_cmp(&x)) {
         Ok(i) => curve[i].1,

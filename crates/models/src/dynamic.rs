@@ -319,7 +319,9 @@ pub fn estimate_alpha(points: &[(Volts, Gigahertz, Watts)]) -> Result<f64> {
         ys.push((p.as_watts() / f.as_ghz()).ln());
     }
     let fit = LinearRegression::fit(&xs, &ys, true)?;
-    let alpha = fit.coefficients()[0];
+    let &[alpha] = fit.coefficients() else {
+        return Err(Error::Numerical("alpha fit returned no slope".into()));
+    };
     if !(0.5..=4.0).contains(&alpha) {
         return Err(Error::Numerical(format!(
             "implausible alpha {alpha}; calibration data looks wrong"

@@ -69,12 +69,12 @@ impl GreenGovernors {
         let mut xs = Vec::with_capacity(samples.len());
         let mut ys = Vec::with_capacity(samples.len());
         for (i, s) in samples.iter().enumerate() {
-            if s.vf.index() >= static_table.len() {
+            let Some(stat) = static_table.get(s.vf.index()) else {
                 return Err(Error::InvalidInput(format!(
                     "sample {i} has unknown VF state"
                 )));
-            }
-            let dyn_w = s.power.as_watts() - static_table[s.vf.index()].as_watts();
+            };
+            let dyn_w = s.power.as_watts() - stat.as_watts();
             if !dyn_w.is_finite() || !s.ips.is_finite() {
                 return Err(Error::InvalidInput(format!("non-finite sample {i}")));
             }
@@ -82,9 +82,14 @@ impl GreenGovernors {
             ys.push(dyn_w);
         }
         let fit = LinearRegression::fit_nonnegative(&xs, &ys, false, 1e-9)?;
+        let &[weight] = fit.coefficients() else {
+            return Err(Error::Numerical(
+                "GG activity fit returned no weight".into(),
+            ));
+        };
         Ok(Self {
             static_table,
-            weight: fit.coefficients()[0],
+            weight,
         })
     }
 

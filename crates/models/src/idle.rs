@@ -113,7 +113,12 @@ impl IdlePowerModel {
             let ys: Vec<f64> = list.iter().map(|s| s.power.as_watts()).collect();
             let line = LinearRegression::fit(&xs, &ys, true)?;
             volts.push(*v);
-            slopes.push(line.coefficients()[0]);
+            let &[slope] = line.coefficients() else {
+                return Err(Error::Numerical(format!(
+                    "voltage {v}: temperature fit returned no slope"
+                )));
+            };
+            slopes.push(slope);
             intercepts.push(line.intercept());
         }
         // Third-order polynomial in V, capped by the number of states.

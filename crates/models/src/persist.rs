@@ -40,6 +40,10 @@ pub const FORMAT_VERSION: u32 = 1;
 /// # Ok(())
 /// # }
 /// ```
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write for String is infallible"
+)]
 pub fn to_string(models: &TrainedModels) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# PPEP trained model bundle");

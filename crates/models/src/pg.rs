@@ -77,6 +77,10 @@ impl PgIdleModel {
     ///
     /// Returns [`Error::InvalidInput`] when required sweep points are
     /// missing or `cu_count` is zero.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "entries is pre-sized to the VF-state count and vf is range-checked just above"
+    )]
     pub fn fit(points: &[PgSweepPoint], cu_count: usize) -> Result<Self> {
         if cu_count == 0 {
             return Err(Error::InvalidInput("cu_count must be positive".into()));

@@ -46,6 +46,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No panics, exhaustive matches and bound span guards in non-test code;
+// each surviving site carries `#[expect(.., reason)]` (DESIGN.md §8).
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::unreachable))]
+#![cfg_attr(not(test), warn(clippy::todo))]
+#![cfg_attr(not(test), warn(clippy::unimplemented))]
+#![cfg_attr(not(test), warn(clippy::indexing_slicing))]
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
 
 pub mod accuracy;
 pub mod export;
@@ -183,8 +194,8 @@ impl RecorderHandle {
 
     /// Opens a stage span for `interval`. The returned guard records
     /// the elapsed time when dropped; bind it (`let _g = ...`) so it
-    /// covers the region being timed — `ppep-lint`'s `unbound-span`
-    /// rule flags guards dropped as temporaries.
+    /// covers the region being timed. `SpanGuard` is `#[must_use]`, so
+    /// a guard dropped as a temporary fails the clippy gate.
     pub fn span(&self, stage: Stage, interval: u64) -> SpanGuard<'_> {
         let timer = if self.inner.enabled() {
             Some((self.inner.now_ns(), Instant::now()))
@@ -280,6 +291,7 @@ impl fmt::Debug for RecorderHandle {
 /// RAII guard returned by [`RecorderHandle::span`]; records the span
 /// on drop. When the recorder is disabled the guard holds no clock
 /// and drop is free.
+#[must_use = "a span guard records on drop; bind it (`let _g = rec.span(..)`) for the region"]
 pub struct SpanGuard<'a> {
     rec: &'a dyn Recorder,
     stage: Stage,

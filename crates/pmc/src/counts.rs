@@ -44,12 +44,20 @@ impl EventCounts {
 
     /// Value for one event.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "values is [f64; EventId::COUNT] and EventId::index() < COUNT by definition"
+    )]
     pub fn get(&self, event: EventId) -> f64 {
         self.values[event.index()]
     }
 
     /// Sets the value for one event.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "values is [f64; EventId::COUNT] and EventId::index() < COUNT by definition"
+    )]
     pub fn set(&mut self, event: EventId, value: f64) {
         self.values[event.index()] = value;
     }
@@ -148,6 +156,10 @@ impl EventCounts {
 impl Index<EventId> for EventCounts {
     type Output = f64;
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "Index cannot return Result; EventId::index() < COUNT by definition"
+    )]
     fn index(&self, event: EventId) -> &f64 {
         &self.values[event.index()]
     }
@@ -155,6 +167,10 @@ impl Index<EventId> for EventCounts {
 
 impl IndexMut<EventId> for EventCounts {
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "IndexMut cannot return Result; EventId::index() < COUNT by definition"
+    )]
     fn index_mut(&mut self, event: EventId) -> &mut f64 {
         &mut self.values[event.index()]
     }

@@ -10,6 +10,7 @@
 //! enable in bit 22).
 
 use crate::counter::HwCounter;
+use crate::events::EventId;
 use ppep_types::{Error, Result};
 use std::cell::Cell;
 
@@ -87,10 +88,11 @@ impl MsrDevice {
     /// Returns [`Error::Device`] for addresses outside the PMC block.
     pub fn rdmsr(&self, address: u32) -> Result<u64> {
         match Self::classify(address)? {
-            Register::Ctl(slot) => Ok(self.ctl[slot]),
+            Register::Ctl(slot) => self.ctl.get(slot).copied().ok_or_else(|| no_slot(slot)),
             Register::Ctr(slot) => {
+                let ctr = self.ctr.get(slot).ok_or_else(|| no_slot(slot))?;
                 self.check_read_fault(address)?;
-                Ok(self.ctr[slot].read())
+                Ok(ctr.read())
             }
         }
     }
@@ -126,8 +128,12 @@ impl MsrDevice {
     /// Returns [`Error::Device`] for addresses outside the PMC block.
     pub fn wrmsr(&mut self, address: u32, value: u64) -> Result<()> {
         match Self::classify(address)? {
-            Register::Ctl(slot) => self.ctl[slot] = value,
-            Register::Ctr(slot) => self.ctr[slot].write(value),
+            Register::Ctl(slot) => *self.ctl.get_mut(slot).ok_or_else(|| no_slot(slot))? = value,
+            Register::Ctr(slot) => self
+                .ctr
+                .get_mut(slot)
+                .ok_or_else(|| no_slot(slot))?
+                .write(value),
         }
         Ok(())
     }
@@ -138,10 +144,7 @@ impl MsrDevice {
     ///
     /// Returns [`Error::Device`] for out-of-range slots.
     pub fn program_slot(&mut self, slot: usize, event_code: u16, enabled: bool) -> Result<()> {
-        if slot >= SLOT_COUNT {
-            return Err(Error::Device(format!("no PMC slot {slot}")));
-        }
-        self.ctl[slot] = encode_ctl(event_code, enabled);
+        *self.ctl.get_mut(slot).ok_or_else(|| no_slot(slot))? = encode_ctl(event_code, enabled);
         Ok(())
     }
 
@@ -151,10 +154,10 @@ impl MsrDevice {
     ///
     /// Returns [`Error::Device`] for out-of-range slots.
     pub fn slot_config(&self, slot: usize) -> Result<(u16, bool)> {
-        if slot >= SLOT_COUNT {
-            return Err(Error::Device(format!("no PMC slot {slot}")));
-        }
-        Ok(decode_ctl(self.ctl[slot]))
+        self.ctl
+            .get(slot)
+            .map(|&v| decode_ctl(v))
+            .ok_or_else(|| no_slot(slot))
     }
 
     /// Advances the counter of a slot by `events` (simulator-side; a
@@ -164,12 +167,13 @@ impl MsrDevice {
     ///
     /// Returns [`Error::Device`] for out-of-range slots.
     pub fn count_events(&mut self, slot: usize, events: u64) -> Result<()> {
-        if slot >= SLOT_COUNT {
-            return Err(Error::Device(format!("no PMC slot {slot}")));
-        }
-        let (_, enabled) = decode_ctl(self.ctl[slot]);
-        if enabled {
-            self.ctr[slot].advance(events);
+        let (ctl, ctr) = self
+            .ctl
+            .get(slot)
+            .zip(self.ctr.get_mut(slot))
+            .ok_or_else(|| no_slot(slot))?;
+        if decode_ctl(*ctl).1 {
+            ctr.advance(events);
         }
         Ok(())
     }
@@ -180,11 +184,9 @@ impl MsrDevice {
     ///
     /// Returns [`Error::Device`] for out-of-range slots.
     pub fn read_slot(&self, slot: usize) -> Result<u64> {
-        if slot >= SLOT_COUNT {
-            return Err(Error::Device(format!("no PMC slot {slot}")));
-        }
+        let ctr = self.ctr.get(slot).ok_or_else(|| no_slot(slot))?;
         self.check_read_fault(PERF_CTR_BASE + 2 * slot as u32)?;
-        Ok(self.ctr[slot].read())
+        Ok(ctr.read())
     }
 
     /// The raw counter value of a slot, bypassing fault injection.
@@ -197,10 +199,29 @@ impl MsrDevice {
     ///
     /// Returns [`Error::Device`] for out-of-range slots.
     pub fn peek_slot(&self, slot: usize) -> Result<u64> {
-        if slot >= SLOT_COUNT {
-            return Err(Error::Device(format!("no PMC slot {slot}")));
+        self.ctr
+            .get(slot)
+            .map(|c| c.read())
+            .ok_or_else(|| no_slot(slot))
+    }
+
+    /// Writes `raw` into every counter and returns the values they now
+    /// hold, in slot order — the sampling baselines after a preload.
+    pub(crate) fn preload_all(&mut self, raw: u64) -> [u64; SLOT_COUNT] {
+        for ctr in &mut self.ctr {
+            ctr.write(raw);
         }
-        Ok(self.ctr[slot].read())
+        self.ctr.map(HwCounter::read)
+    }
+
+    /// Programs slot `i` to count `events[i]` (enabled) and returns the
+    /// counter values, in slot order. The returned baselines are a
+    /// backstage peek, so injected read failures do not apply.
+    pub(crate) fn program_all(&mut self, events: [EventId; SLOT_COUNT]) -> [u64; SLOT_COUNT] {
+        for (ctl, event) in self.ctl.iter_mut().zip(events) {
+            *ctl = encode_ctl(event.code(), true);
+        }
+        self.ctr.map(HwCounter::read)
     }
 
     fn classify(address: u32) -> Result<Register> {
@@ -224,10 +245,13 @@ enum Register {
     Ctr(usize),
 }
 
+fn no_slot(slot: usize) -> Error {
+    Error::Device(format!("no PMC slot {slot}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::EventId;
 
     #[test]
     fn ctl_encoding_round_trips_all_table_i_codes() {

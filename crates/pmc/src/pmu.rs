@@ -17,7 +17,7 @@
 use crate::counter::COUNTER_MASK;
 use crate::counts::EventCounts;
 use crate::events::{EventId, ALL_EVENTS, EVENT_COUNT};
-use crate::msr::{MsrDevice, PERF_CTR_BASE, SLOT_COUNT};
+use crate::msr::{MsrDevice, SLOT_COUNT};
 use ppep_types::{Error, Result, Seconds};
 
 /// Multiplexing group membership: which events share counter slots.
@@ -156,17 +156,7 @@ impl Pmu {
     /// from the preloaded value. Fault injection uses this to place
     /// counters just below the 48-bit wrap point.
     pub fn preload_counters(&mut self, raw: u64) {
-        for slot in 0..SLOT_COUNT {
-            self.device
-                .wrmsr(PERF_CTR_BASE + 2 * slot as u32, raw)
-                // ppep-lint: allow(expect) — slot < SLOT_COUNT by loop bound
-                .expect("slot index within SLOT_COUNT");
-            self.slot_baseline[slot] = self
-                .device
-                .peek_slot(slot)
-                // ppep-lint: allow(expect) — slot < SLOT_COUNT by loop bound
-                .expect("slot index within SLOT_COUNT");
-        }
+        self.slot_baseline = self.device.preload_all(raw);
     }
 
     /// Discards any partially accumulated interval and re-syncs the
@@ -181,20 +171,10 @@ impl Pmu {
     }
 
     fn program_active_group(&mut self) {
-        for (slot, event) in self.active_group.events().into_iter().enumerate() {
-            self.device
-                .program_slot(slot, event.code(), true)
-                // ppep-lint: allow(expect) — group size == SLOT_COUNT by construction
-                .expect("slot index within SLOT_COUNT");
-            // Backstage peek: baseline re-sync is simulator bookkeeping,
-            // not a modelled msr-tools read, so injected read failures
-            // must not corrupt it.
-            self.slot_baseline[slot] = self
-                .device
-                .peek_slot(slot)
-                // ppep-lint: allow(expect) — group size == SLOT_COUNT by construction
-                .expect("slot index within SLOT_COUNT");
-        }
+        // Backstage peek: baseline re-sync is simulator bookkeeping,
+        // not a modelled msr-tools read, so injected read failures
+        // must not corrupt it.
+        self.slot_baseline = self.device.program_all(self.active_group.events());
     }
 
     /// Feeds one sub-tick of ground-truth event counts into the PMU.
@@ -208,6 +188,10 @@ impl Pmu {
     ///
     /// Returns [`Error::InvalidInput`] for non-positive `dt` or
     /// non-finite/negative counts.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "accumulated/active_time are [_; EventId::COUNT] indexed by EventId::index() < COUNT"
+    )]
     pub fn tick(&mut self, true_counts: &EventCounts, dt: Seconds) -> Result<()> {
         if dt.as_secs() <= 0.0 {
             return Err(Error::InvalidInput("PMU tick needs positive dt".into()));
@@ -221,8 +205,8 @@ impl Pmu {
 
         if self.multiplexing {
             // Only the active group's slots count this sub-tick.
-            let events = self.active_group.events();
-            for (slot, event) in events.into_iter().enumerate() {
+            let events = self.active_group.events().into_iter().enumerate();
+            for ((slot, event), baseline) in events.zip(&mut self.slot_baseline) {
                 let n = true_counts.get(event).round().max(0.0) as u64;
                 self.device.count_events(slot, n)?;
                 // Read back through the MSR interface, as msr-tools would.
@@ -231,8 +215,8 @@ impl Pmu {
                 // `now < baseline`, and the delta must be taken modulo
                 // 2⁴⁸ (a plain u64 subtraction would inflate it by
                 // 2⁶⁴ − 2⁴⁸).
-                let delta = now.wrapping_sub(self.slot_baseline[slot]) & COUNTER_MASK;
-                self.slot_baseline[slot] = now;
+                let delta = now.wrapping_sub(*baseline) & COUNTER_MASK;
+                *baseline = now;
                 self.accumulated[event.index()] += delta;
                 self.active_time[event.index()] += dt.as_secs();
             }
@@ -259,6 +243,10 @@ impl Pmu {
     ///
     /// Returns [`Error::Device`] when no time has elapsed since the
     /// last drain.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "accumulated and active_time are fixed [_; EventId::COUNT] arrays scanned by 0..COUNT"
+    )]
     pub fn drain_interval(&mut self) -> Result<EventCounts> {
         if self.total_time <= 0.0 {
             return Err(Error::Device(

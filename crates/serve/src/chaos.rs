@@ -227,6 +227,10 @@ fn client_chip(config: &ChaosConfig, tenant: u64) -> ChipSimulator {
 /// Service-level failures only (malformed frames, the budget
 /// invariant): tenant-level faults are the point of the exercise and
 /// are absorbed, not propagated.
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "every other SessionFrame is a protocol error reported with its Debug form"
+)]
 pub fn run(ppep: &Ppep, config: &ChaosConfig) -> Result<ChaosReport> {
     let mut serve_config = ServeConfig::new(config.socket_cap);
     serve_config.max_sessions = config.tenants.max(1);
@@ -318,7 +322,7 @@ pub fn run(ppep: &Ppep, config: &ChaosConfig) -> Result<ChaosReport> {
 
     drop(lane);
     if let Some(handle) = server {
-        handle.shutdown();
+        handle.shutdown().into_result()?;
     }
     Ok(ChaosReport {
         config: *config,

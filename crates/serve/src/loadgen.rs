@@ -245,6 +245,10 @@ struct ClientOutcome {
 
 /// Replays one worker's tenant set, interval-major (every live tenant
 /// advances one event per round — per-tenant order is program order).
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "every other SessionFrame is a protocol error reported with its Debug form"
+)]
 fn replay_worker(
     lane: &mut Lane<'_>,
     topology: &Topology,
@@ -321,6 +325,10 @@ fn replay_worker(
 /// # Errors
 ///
 /// Admission rejections, wire/transport errors, and worker panics.
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "every other SessionFrame is a protocol error reported with its Debug form"
+)]
 pub fn run(ppep: &Ppep, config: &LoadGenConfig) -> Result<LoadGenReport> {
     let clients = config.clients.max(1);
     let mut serve_config = ServeConfig::new(config.socket_cap);
@@ -493,7 +501,7 @@ pub fn run(ppep: &Ppep, config: &LoadGenConfig) -> Result<LoadGenReport> {
             .collect(),
     };
     if let Some(handle) = server {
-        handle.shutdown();
+        handle.shutdown().into_result()?;
     }
     Ok(report)
 }

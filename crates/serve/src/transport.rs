@@ -173,7 +173,7 @@ impl ServeListener {
         let stop = Arc::new(AtomicBool::new(false));
         let addr = self.addr.clone();
         let accept_stop = Arc::clone(&stop);
-        let accept = std::thread::spawn(move || {
+        let accept = std::thread::spawn(move || -> ShutdownReport {
             let mut conns: Vec<JoinHandle<()>> = Vec::new();
             loop {
                 let conn = match &self.inner {
@@ -188,9 +188,14 @@ impl ServeListener {
                 let svc = Arc::clone(&service);
                 conns.push(std::thread::spawn(move || serve_connection(stream, &svc)));
             }
+            // A connection thread that panicked did so outside the
+            // per-tenant `catch_unwind` bulkhead; count it, never lose it.
+            let mut report = ShutdownReport::default();
             for c in conns {
-                let _ = c.join();
+                report.connections += 1;
+                report.connection_panics += usize::from(c.join().is_err());
             }
+            report
         });
         ServerHandle {
             stop,
@@ -205,7 +210,46 @@ impl ServeListener {
 pub struct ServerHandle {
     stop: Arc<AtomicBool>,
     addr: ServeAddr,
-    accept: Option<JoinHandle<()>>,
+    accept: Option<JoinHandle<ShutdownReport>>,
+}
+
+/// What [`ServerHandle::shutdown`] joined and cleaned up. A thread
+/// that panicked is counted here instead of being swallowed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ShutdownReport {
+    /// Connection threads joined.
+    pub connections: usize,
+    /// Connection threads that ended in a panic.
+    pub connection_panics: usize,
+    /// The accept thread itself panicked; its connection threads
+    /// were then never joined and are missing from the counts.
+    pub accept_panicked: bool,
+    /// The Unix socket file exists but could not be removed.
+    pub socket_left_behind: bool,
+}
+
+impl ShutdownReport {
+    /// `Ok` when no server thread panicked.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Device`] naming the panic counts otherwise. A socket
+    /// file left behind is not an error: it is only a stale path.
+    pub fn into_result(self) -> Result<Self> {
+        if self.connection_panics == 0 && !self.accept_panicked {
+            return Ok(self);
+        }
+        Err(Error::Device(format!(
+            "serve transport: {} of {} connection threads panicked{}",
+            self.connection_panics,
+            self.connections,
+            if self.accept_panicked {
+                ", and the accept thread panicked"
+            } else {
+                ""
+            }
+        )))
+    }
 }
 
 impl ServerHandle {
@@ -216,16 +260,30 @@ impl ServerHandle {
 
     /// Stops accepting, wakes the accept thread, joins every
     /// connection thread, and removes the socket file.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(mut self) -> ShutdownReport {
         self.stop.store(true, Ordering::Relaxed);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = FrameConn::connect(&self.addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
+        // Wake the blocking accept with a throwaway connection, closed
+        // at once. A refused connect means the listener has already
+        // stopped accepting (its loop broke on the error), so the join
+        // below returns without a wake-up.
+        if let Ok(wake) = FrameConn::connect(&self.addr) {
+            drop(wake);
         }
+        let mut report = match self.accept.take().map(JoinHandle::join) {
+            Some(Ok(report)) => report,
+            Some(Err(_)) => ShutdownReport {
+                accept_panicked: true,
+                ..ShutdownReport::default()
+            },
+            None => ShutdownReport::default(),
+        };
+        // NotFound means the file is already gone; any other failure
+        // leaves a stale path in the temp dir, which is reported.
         if let ServeAddr::Unix(path) = &self.addr {
-            let _ = std::fs::remove_file(path);
+            report.socket_left_behind =
+                std::fs::remove_file(path).is_err_and(|e| e.kind() != std::io::ErrorKind::NotFound);
         }
+        report
     }
 }
 
@@ -425,7 +483,17 @@ mod tests {
         conn.send(&frame_to_bytes(&SessionFrame::Goodbye { tenant: 6 }))
             .unwrap();
         drop(conn);
-        handle.shutdown();
+        // A clean shutdown joins the one client connection (the
+        // wake-up connection is never handed a thread) with no panics.
+        let report = handle.shutdown();
+        assert_eq!(
+            report,
+            ShutdownReport {
+                connections: 1,
+                ..ShutdownReport::default()
+            }
+        );
+        assert!(report.into_result().is_ok());
         // Goodbye raced the shutdown join; afterwards the session is gone.
         assert_eq!(service.live_sessions(), 0);
     }

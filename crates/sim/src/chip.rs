@@ -238,6 +238,10 @@ impl ChipSimulator {
     ///
     /// Panics when the workload has more threads than the chip has
     /// cores.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "core enumerates the spec placement, validated against core_count just above"
+    )]
     pub fn load_workload(&mut self, workload: &WorkloadSpec) {
         let cores = self.config.topology.core_count();
         assert!(
@@ -401,9 +405,12 @@ impl ChipSimulator {
     /// ladder — use [`step_interval_checked`] when either can happen.
     ///
     /// [`step_interval_checked`]: ChipSimulator::step_interval_checked
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking convenience; step_interval_checked is the fallible form"
+    )]
     pub fn step_interval(&mut self) -> IntervalRecord {
         self.step_interval_checked()
-            // ppep-lint: allow(expect)
             .expect("no erroring fault scheduled and every CU on this chip's ladder")
     }
 
@@ -425,6 +432,10 @@ impl ChipSimulator {
     /// and the next interval can be stepped normally. Returns
     /// [`Error::UnknownVfState`] before anything advances when a CU
     /// holds a state outside this chip's VF ladder.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "core and cu range over the topology counts that size slots, samplers, cu_vf, cu_physics (one entry per cu_vf) and every per-interval vector"
+    )]
     pub fn step_interval_checked(&mut self) -> Result<IntervalRecord> {
         let cu_physics = self
             .cu_vf

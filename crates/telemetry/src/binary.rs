@@ -1096,6 +1096,10 @@ fn interval_payload(codec: &mut Codec, r: &IntervalRecord, table: &VfTable) -> V
     p
 }
 
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "Error is #[non_exhaustive]; every other variant is encoded as its message"
+)]
 fn fault_payload(index: IntervalIndex, error: &Error) -> Vec<u8> {
     let mut p = Vec::new();
     put_varint(&mut p, index.0);

@@ -41,9 +41,9 @@ impl Json {
                 .find(|(k, _)| k == key)
                 .map(|(_, v)| v)
                 .ok_or_else(|| Error::InvalidInput(format!("trace json: missing key `{key}`"))),
-            _ => Err(Error::InvalidInput(format!(
-                "trace json: `{key}` lookup on a non-object"
-            ))),
+            Json::Null | Json::Bool(_) | Json::Num(_) | Json::Str(_) | Json::Arr(_) => Err(
+                Error::InvalidInput(format!("trace json: `{key}` lookup on a non-object")),
+            ),
         }
     }
 
@@ -53,6 +53,10 @@ impl Json {
     /// # Errors
     ///
     /// Returns [`Error::InvalidInput`] for any other shape.
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "a type-check accessor: every other Json shape is the same type error"
+    )]
     pub fn as_f64(&self) -> Result<f64> {
         match self {
             Json::Num(v) => Ok(*v),
@@ -71,6 +75,10 @@ impl Json {
     ///
     /// Returns [`Error::InvalidInput`] for non-numbers, negatives, and
     /// non-integers.
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "a type-check accessor: every other Json shape is the same type error"
+    )]
     pub fn as_u64(&self) -> Result<u64> {
         match self {
             Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => Ok(*v as u64),
@@ -95,6 +103,10 @@ impl Json {
     /// # Errors
     ///
     /// Returns [`Error::InvalidInput`] for non-booleans.
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "a type-check accessor: every other Json shape is the same type error"
+    )]
     pub fn as_bool(&self) -> Result<bool> {
         match self {
             Json::Bool(b) => Ok(*b),
@@ -109,6 +121,10 @@ impl Json {
     /// # Errors
     ///
     /// Returns [`Error::InvalidInput`] for non-strings.
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "a type-check accessor: every other Json shape is the same type error"
+    )]
     pub fn as_str(&self) -> Result<&str> {
         match self {
             Json::Str(s) => Ok(s),
@@ -123,6 +139,10 @@ impl Json {
     /// # Errors
     ///
     /// Returns [`Error::InvalidInput`] for non-arrays.
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "a type-check accessor: every other Json shape is the same type error"
+    )]
     pub fn as_arr(&self) -> Result<&[Json]> {
         match self {
             Json::Arr(items) => Ok(items),
@@ -158,6 +178,10 @@ impl Json {
 /// Appends `v` to `out` as a JSON token: the shortest exact decimal
 /// for finite values, the quoted `"NaN"`/`"inf"`/`"-inf"` spellings
 /// otherwise.
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write for String is infallible"
+)]
 pub fn push_f64(out: &mut String, v: f64) {
     use std::fmt::Write as _;
     if v.is_nan() {
@@ -172,6 +196,10 @@ pub fn push_f64(out: &mut String, v: f64) {
 }
 
 /// Appends `s` to `out` as a quoted, escaped JSON string.
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write for String is infallible"
+)]
 pub fn push_str(out: &mut String, s: &str) {
     use std::fmt::Write as _;
     out.push('"');

@@ -122,6 +122,10 @@ impl TraceWriter {
     }
 }
 
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write for String is infallible"
+)]
 fn push_meta(out: &mut String, topology: &Topology) {
     use std::fmt::Write as _;
     out.push_str("{\"type\":\"meta\",\"version\":");
@@ -179,6 +183,10 @@ fn push_watts_vec(out: &mut String, values: &[Watts]) {
     out.push(']');
 }
 
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write for String is infallible"
+)]
 pub(crate) fn push_interval(out: &mut String, r: &IntervalRecord) {
     use std::fmt::Write as _;
     let _ = write!(out, "{{\"type\":\"interval\",\"index\":{}", r.index.0);
@@ -241,6 +249,14 @@ pub(crate) fn push_interval(out: &mut String, r: &IntervalRecord) {
     out.push_str("}}\n");
 }
 
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write for String is infallible"
+)]
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "Error is #[non_exhaustive]; every other variant is encoded as its message"
+)]
 pub(crate) fn push_fault(out: &mut String, index: IntervalIndex, error: &Error) {
     use std::fmt::Write as _;
     let _ = write!(out, "{{\"type\":\"fault\",\"index\":{},\"error\":", index.0);
@@ -272,6 +288,10 @@ pub(crate) fn push_fault(out: &mut String, index: IntervalIndex, error: &Error) 
     out.push_str("}\n");
 }
 
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write for String is infallible"
+)]
 fn push_apply(out: &mut String, assignment: &[VfStateId]) {
     use std::fmt::Write as _;
     out.push_str("{\"type\":\"apply\",\"assignment\":[");
@@ -291,6 +311,10 @@ fn push_opt_watts(out: &mut String, v: Option<Watts>) {
     }
 }
 
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write for String is infallible"
+)]
 fn push_decision(out: &mut String, d: &DecisionRecord) {
     use std::fmt::Write as _;
     let _ = write!(
@@ -430,7 +454,7 @@ impl TraceReader {
     pub fn decisions(&self) -> impl Iterator<Item = &DecisionRecord> {
         self.events.iter().filter_map(|e| match e {
             TraceEvent::Decision(d) => Some(d),
-            _ => None,
+            TraceEvent::Interval(_) | TraceEvent::Fault { .. } | TraceEvent::Apply(_) => None,
         })
     }
 }
@@ -490,6 +514,10 @@ fn parse_assignment(v: &Json, table: &VfTable) -> Result<Vec<VfStateId>> {
         .collect()
 }
 
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "every non-null Json shape defers to as_f64, which reports the type error"
+)]
 fn parse_opt_watts(v: &Json) -> Result<Option<Watts>> {
     match v {
         Json::Null => Ok(None),
@@ -497,6 +525,10 @@ fn parse_opt_watts(v: &Json) -> Result<Option<Watts>> {
     }
 }
 
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "every non-null Json shape defers to as_bool, which reports the type error"
+)]
 fn parse_decision(v: &Json, table: &VfTable) -> Result<DecisionRecord> {
     Ok(DecisionRecord {
         interval: IntervalIndex(v.get("interval")?.as_u64()?),

@@ -36,6 +36,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Exhaustive matches and bound span guards in non-test code; each
+// surviving site carries `#[expect(.., reason)]` (DESIGN.md §8).
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
 
 pub mod combos;
 pub mod phase;

@@ -421,6 +421,54 @@ proptest! {
             }
         }
     }
+
+    /// The paper's composition identities on every `ChipPpe` row of a
+    /// trained projection: energy = power x time, EDP = energy x time,
+    /// time = work / IPS, chip IPS = the sum of core IPS, the NB share
+    /// lies in [0, power], and chip power covers the summed core
+    /// dynamic power (Eqs. 7-8: core dynamic + NB + CU idle + base).
+    #[test]
+    fn projected_rows_compose_per_eqs_7_8(
+        ccpi in prop::collection::vec(finite(0.3, 2.0), 8),
+        mcpi in prop::collection::vec(finite(0.0, 3.0), 8),
+        inst in prop::collection::vec(finite(1.0e6, 5.0e8), 8),
+        picks in prop::collection::vec(0usize..5, 4),
+    ) {
+        const TOL: f64 = 1e-12;
+        let close = |a: f64, b: f64| (a - b).abs() <= TOL * a.abs().max(b.abs());
+        let ppep = trained_engine();
+        let table = ppep.models().vf_table().clone();
+        let record = busy_record(&table, &ccpi, &mcpi, &inst, &picks);
+        let projection = ppep.project(&record).unwrap();
+        prop_assert_eq!(projection.chip.len(), table.len());
+        let work: f64 = record
+            .samples
+            .iter()
+            .map(|s| s.counts.get(EventId::RetiredInstructions))
+            .sum();
+        for row in &projection.chip {
+            let power = row.power.as_watts();
+            let t = row.time_for_work.as_secs();
+            let energy = row.energy.as_joules();
+            prop_assert!(close(energy, power * t), "{:?}: energy {} != power x time {}", row.vf, energy, power * t);
+            prop_assert!(close(row.edp, energy * t), "{:?}: edp {} != energy x time {}", row.vf, row.edp, energy * t);
+            prop_assert!(row.ips > 0.0, "{:?}: busy chip with zero IPS", row.vf);
+            prop_assert!(close(t, work / row.ips), "{:?}: time {} != work / ips {}", row.vf, t, work / row.ips);
+            let core_ips: f64 = projection.cores.iter().map(|c| c.at(row.vf).ips).sum();
+            prop_assert!(close(row.ips, core_ips), "{:?}: chip ips {} != core sum {}", row.vf, row.ips, core_ips);
+            let nb = row.nb_power.as_watts();
+            prop_assert!((0.0..=power).contains(&nb), "{:?}: nb {} outside [0, {}]", row.vf, nb, power);
+            let core_dynamic: f64 = projection
+                .cores
+                .iter()
+                .map(|c| c.at(row.vf).dynamic_power.as_watts())
+                .sum();
+            prop_assert!(
+                power >= core_dynamic * (1.0 - TOL),
+                "{:?}: chip power {} below summed core dynamic {}", row.vf, power, core_dynamic
+            );
+        }
+    }
 }
 
 /// A plain (non-proptest) sanity check that the strategies above are
