@@ -3,11 +3,77 @@
 //! An [`EventCounts`] holds one `f64` per Table I event. Depending on
 //! context it stores raw counts within an interval or per-second rates
 //! (the `Ei` terms of Eq. 3 are per-second counts); the container is
-//! agnostic and the conversion helpers are explicit.
+//! agnostic and the conversion helpers are explicit. It and the PMU's
+//! accumulators sit on [`PerEvent`], the one array type indexed by
+//! [`EventId`].
 
 use crate::events::{EventId, ALL_EVENTS, EVENT_COUNT};
 use ppep_types::Seconds;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul};
+
+/// One `T` per Table I event, indexed by [`EventId`].
+///
+/// ```
+/// use ppep_pmc::counts::PerEvent;
+/// use ppep_pmc::EventId;
+///
+/// let mut seen = PerEvent::splat(0_u64);
+/// seen[EventId::RetiredInstructions] += 3;
+/// assert_eq!(seen[EventId::RetiredInstructions], 3);
+/// assert_eq!(seen.as_array().iter().sum::<u64>(), 3);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct PerEvent<T>([T; EVENT_COUNT]);
+
+impl<T> PerEvent<T> {
+    /// Builds from a full per-event array in Table I order.
+    pub const fn from_array(values: [T; EVENT_COUNT]) -> Self {
+        Self(values)
+    }
+
+    /// The underlying array in Table I order.
+    pub const fn as_array(&self) -> &[T; EVENT_COUNT] {
+        &self.0
+    }
+
+    /// Mutable view of the underlying array in Table I order.
+    pub fn as_mut_array(&mut self) -> &mut [T; EVENT_COUNT] {
+        &mut self.0
+    }
+}
+
+impl<T: Copy> PerEvent<T> {
+    /// The same value for every event.
+    pub const fn splat(value: T) -> Self {
+        Self([value; EVENT_COUNT])
+    }
+}
+
+// The only indexing of a per-event array in this crate.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the array holds EVENT_COUNT entries and EventId::index() < EVENT_COUNT by definition"
+)]
+mod index {
+    use super::PerEvent;
+    use crate::events::EventId;
+    use std::ops::{Index, IndexMut};
+
+    impl<T> Index<EventId> for PerEvent<T> {
+        type Output = T;
+        #[inline]
+        fn index(&self, event: EventId) -> &T {
+            &self.0[event.index()]
+        }
+    }
+
+    impl<T> IndexMut<EventId> for PerEvent<T> {
+        #[inline]
+        fn index_mut(&mut self, event: EventId) -> &mut T {
+            &mut self.0[event.index()]
+        }
+    }
+}
 
 /// A vector of values indexed by [`EventId`].
 ///
@@ -21,45 +87,39 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EventCounts {
-    values: [f64; EVENT_COUNT],
+    values: PerEvent<f64>,
 }
 
 impl EventCounts {
     /// All-zero counts.
     pub const fn zero() -> Self {
         Self {
-            values: [0.0; EVENT_COUNT],
+            values: PerEvent::splat(0.0),
         }
     }
 
     /// Builds from a full per-event array in Table I order.
     pub const fn from_array(values: [f64; EVENT_COUNT]) -> Self {
-        Self { values }
+        Self {
+            values: PerEvent::from_array(values),
+        }
     }
 
     /// The underlying array in Table I order.
     pub const fn as_array(&self) -> &[f64; EVENT_COUNT] {
-        &self.values
+        self.values.as_array()
     }
 
     /// Value for one event.
     #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "values is [f64; EventId::COUNT] and EventId::index() < COUNT by definition"
-    )]
     pub fn get(&self, event: EventId) -> f64 {
-        self.values[event.index()]
+        self.values[event]
     }
 
     /// Sets the value for one event.
     #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "values is [f64; EventId::COUNT] and EventId::index() < COUNT by definition"
-    )]
     pub fn set(&mut self, event: EventId, value: f64) {
-        self.values[event.index()] = value;
+        self.values[event] = value;
     }
 
     /// Converts interval counts to per-second rates.
@@ -71,7 +131,7 @@ impl EventCounts {
     pub fn to_rates(&self, dt: Seconds) -> Self {
         assert!(dt.as_secs() > 0.0, "interval must be positive");
         let mut out = *self;
-        for v in out.values.iter_mut() {
+        for v in out.values.as_mut_array().iter_mut() {
             *v /= dt.as_secs();
         }
         out
@@ -81,7 +141,7 @@ impl EventCounts {
     #[must_use]
     pub fn to_counts(&self, dt: Seconds) -> Self {
         let mut out = *self;
-        for v in out.values.iter_mut() {
+        for v in out.values.as_mut_array().iter_mut() {
             *v *= dt.as_secs();
         }
         out
@@ -96,7 +156,7 @@ impl EventCounts {
             return None;
         }
         let mut out = *self;
-        for v in out.values.iter_mut() {
+        for v in out.values.as_mut_array().iter_mut() {
             *v /= inst;
         }
         Some(out)
@@ -123,17 +183,8 @@ impl EventCounts {
 
     /// The nine-element power-model vector (E1–E9 in order).
     pub fn power_model_vector(&self) -> [f64; 9] {
-        [
-            self.values[0],
-            self.values[1],
-            self.values[2],
-            self.values[3],
-            self.values[4],
-            self.values[5],
-            self.values[6],
-            self.values[7],
-            self.values[8],
-        ]
+        let [e1, e2, e3, e4, e5, e6, e7, e8, e9, ..] = *self.as_array();
+        [e1, e2, e3, e4, e5, e6, e7, e8, e9]
     }
 
     /// Iterates `(event, value)` pairs in Table I order.
@@ -143,36 +194,42 @@ impl EventCounts {
 
     /// True when every entry is finite.
     pub fn is_finite(&self) -> bool {
-        self.values.iter().all(|v| v.is_finite())
+        self.as_array().iter().all(|v| v.is_finite())
     }
 
     /// True when every entry is non-negative (counts cannot go
     /// backwards).
     pub fn is_non_negative(&self) -> bool {
-        self.values.iter().all(|v| *v >= 0.0)
+        self.as_array().iter().all(|v| *v >= 0.0)
+    }
+
+    /// True when every entry is finite and non-negative: the counts a
+    /// sub-tick can legitimately produce. Equal to
+    /// `is_finite() && is_non_negative()`, in one branch-free pass.
+    ///
+    /// `(v + 0.0) * 0.0` is `+0.0`, all bits clear, exactly when `v` is
+    /// finite and not below zero: `-0.0 + 0.0` is `+0.0`, a negative
+    /// `v` leaves `-0.0`, and an infinity or NaN leaves NaN.
+    pub(crate) fn is_valid_counts(&self) -> bool {
+        self.as_array()
+            .iter()
+            .fold(0, |bits, &v| bits | ((v + 0.0) * 0.0).to_bits())
+            == 0
     }
 }
 
 impl Index<EventId> for EventCounts {
     type Output = f64;
     #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "Index cannot return Result; EventId::index() < COUNT by definition"
-    )]
     fn index(&self, event: EventId) -> &f64 {
-        &self.values[event.index()]
+        &self.values[event]
     }
 }
 
 impl IndexMut<EventId> for EventCounts {
     #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "IndexMut cannot return Result; EventId::index() < COUNT by definition"
-    )]
     fn index_mut(&mut self, event: EventId) -> &mut f64 {
-        &mut self.values[event.index()]
+        &mut self.values[event]
     }
 }
 
@@ -186,7 +243,7 @@ impl Add for EventCounts {
 
 impl AddAssign for EventCounts {
     fn add_assign(&mut self, rhs: Self) {
-        for (a, b) in self.values.iter_mut().zip(&rhs.values) {
+        for (a, b) in self.values.as_mut_array().iter_mut().zip(rhs.as_array()) {
             *a += b;
         }
     }
@@ -195,7 +252,7 @@ impl AddAssign for EventCounts {
 impl Mul<f64> for EventCounts {
     type Output = Self;
     fn mul(mut self, rhs: f64) -> Self {
-        for v in self.values.iter_mut() {
+        for v in self.values.as_mut_array().iter_mut() {
             *v *= rhs;
         }
         self
@@ -294,6 +351,21 @@ mod tests {
         let mut neg = c;
         neg.set(EventId::RetiredUops, -1.0);
         assert!(!neg.is_non_negative());
+        assert!(c.is_valid_counts());
+        for v in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.0,
+            -f64::MIN_POSITIVE,
+        ] {
+            let mut bad = c;
+            bad.set(EventId::MabWaitCycles, v);
+            assert!(!bad.is_valid_counts(), "{v} must be rejected");
+        }
+        let mut neg_zero = c;
+        neg_zero.set(EventId::MabWaitCycles, -0.0);
+        assert!(neg_zero.is_valid_counts());
     }
 
     #[test]

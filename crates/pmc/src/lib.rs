@@ -46,7 +46,7 @@ pub mod msr;
 pub mod pmu;
 pub mod sampler;
 
-pub use counts::EventCounts;
+pub use counts::{EventCounts, PerEvent};
 pub use events::EventId;
 pub use pmu::Pmu;
 pub use sampler::IntervalSample;

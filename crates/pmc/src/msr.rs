@@ -10,7 +10,6 @@
 //! enable in bit 22).
 
 use crate::counter::HwCounter;
-use crate::events::EventId;
 use ppep_types::{Error, Result};
 use std::cell::Cell;
 
@@ -28,7 +27,7 @@ pub const CTL_ENABLE_BIT: u64 = 1 << 22;
 
 /// Encodes a 12-bit event select into a `PERF_CTL` value with the
 /// enable bit set.
-pub fn encode_ctl(event_code: u16, enabled: bool) -> u64 {
+pub const fn encode_ctl(event_code: u16, enabled: bool) -> u64 {
     encode_ctl_masked(event_code, 0, enabled)
 }
 
@@ -37,7 +36,7 @@ pub fn encode_ctl(event_code: u16, enabled: bool) -> u64 {
 /// (`Cycles_Retiring_1 … Issue_Width`) are selected through unit-mask
 /// values at the cost of extra counter multiplexing; this is the
 /// register-level support for that refinement.
-pub fn encode_ctl_masked(event_code: u16, unit_mask: u8, enabled: bool) -> u64 {
+pub const fn encode_ctl_masked(event_code: u16, unit_mask: u8, enabled: bool) -> u64 {
     let code = event_code as u64;
     let low = code & 0xff;
     let high = (code >> 8) & 0xf;
@@ -91,7 +90,7 @@ impl MsrDevice {
             Register::Ctl(slot) => self.ctl.get(slot).copied().ok_or_else(|| no_slot(slot)),
             Register::Ctr(slot) => {
                 let ctr = self.ctr.get(slot).ok_or_else(|| no_slot(slot))?;
-                self.check_read_fault(address)?;
+                read_fault(&self.fail_reads, slot)?;
                 Ok(ctr.read())
             }
         }
@@ -110,15 +109,6 @@ impl MsrDevice {
     /// Number of armed counter-read failures remaining.
     pub fn pending_read_failures(&self) -> u32 {
         self.fail_reads.get()
-    }
-
-    fn check_read_fault(&self, address: u32) -> Result<()> {
-        let armed = self.fail_reads.get();
-        if armed > 0 {
-            self.fail_reads.set(armed - 1);
-            return Err(Error::MsrReadFailed { msr: address });
-        }
-        Ok(())
     }
 
     /// Writes an MSR by address, like `wrmsr`.
@@ -185,7 +175,7 @@ impl MsrDevice {
     /// Returns [`Error::Device`] for out-of-range slots.
     pub fn read_slot(&self, slot: usize) -> Result<u64> {
         let ctr = self.ctr.get(slot).ok_or_else(|| no_slot(slot))?;
-        self.check_read_fault(PERF_CTR_BASE + 2 * slot as u32)?;
+        read_fault(&self.fail_reads, slot)?;
         Ok(ctr.read())
     }
 
@@ -214,14 +204,48 @@ impl MsrDevice {
         self.ctr.map(HwCounter::read)
     }
 
-    /// Programs slot `i` to count `events[i]` (enabled) and returns the
-    /// counter values, in slot order. The returned baselines are a
-    /// backstage peek, so injected read failures do not apply.
-    pub(crate) fn program_all(&mut self, events: [EventId; SLOT_COUNT]) -> [u64; SLOT_COUNT] {
-        for (ctl, event) in self.ctl.iter_mut().zip(events) {
-            *ctl = encode_ctl(event.code(), true);
-        }
+    /// Writes `ctl` into the six `PERF_CTL` registers, in slot order.
+    pub(crate) fn program_all(&mut self, ctl: [u64; SLOT_COUNT]) {
+        self.ctl = ctl;
+    }
+
+    /// The raw counter values in slot order, bypassing fault injection
+    /// (the backstage view of [`MsrDevice::peek_slot`]).
+    pub(crate) fn peek_all(&self) -> [u64; SLOT_COUNT] {
         self.ctr.map(HwCounter::read)
+    }
+
+    /// One sampled sub-tick of all six slots: slot by slot, the counter
+    /// advances by `events[slot]` when its `PERF_CTL` enables it, then
+    /// is read back through the fault-injectable read path. This is
+    /// [`MsrDevice::count_events`] followed by [`MsrDevice::read_slot`]
+    /// for each slot in turn, with the slot checks done once. Returns
+    /// the values read, in slot order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::MsrReadFailed`] when an injected read failure
+    /// fires. The sweep stops at that slot, after its counter advanced;
+    /// later slots neither advance nor read.
+    pub(crate) fn count_and_read_all(
+        &mut self,
+        events: [u64; SLOT_COUNT],
+    ) -> Result<[u64; SLOT_COUNT]> {
+        let mut now = [0; SLOT_COUNT];
+        let slots = self
+            .ctl
+            .iter()
+            .zip(&mut self.ctr)
+            .zip(&events)
+            .zip(&mut now);
+        for (slot, (((ctl, ctr), n), out)) in slots.enumerate() {
+            if ctl & CTL_ENABLE_BIT != 0 {
+                ctr.advance(*n);
+            }
+            read_fault(&self.fail_reads, slot)?;
+            *out = ctr.read();
+        }
+        Ok(now)
     }
 
     fn classify(address: u32) -> Result<Register> {
@@ -245,6 +269,19 @@ enum Register {
     Ctr(usize),
 }
 
+/// Consumes one armed read failure, if any, as a failed read of the
+/// counter of `slot`.
+fn read_fault(fail_reads: &Cell<u32>, slot: usize) -> Result<()> {
+    let armed = fail_reads.get();
+    if armed > 0 {
+        fail_reads.set(armed - 1);
+        return Err(Error::MsrReadFailed {
+            msr: PERF_CTR_BASE + 2 * slot as u32,
+        });
+    }
+    Ok(())
+}
+
 fn no_slot(slot: usize) -> Error {
     Error::Device(format!("no PMC slot {slot}"))
 }
@@ -252,6 +289,7 @@ fn no_slot(slot: usize) -> Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::EventId;
 
     #[test]
     fn ctl_encoding_round_trips_all_table_i_codes() {

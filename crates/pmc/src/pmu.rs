@@ -15,9 +15,9 @@
 //! assumes the unseen half looked the same.
 
 use crate::counter::COUNTER_MASK;
-use crate::counts::EventCounts;
-use crate::events::{EventId, ALL_EVENTS, EVENT_COUNT};
-use crate::msr::{MsrDevice, SLOT_COUNT};
+use crate::counts::{EventCounts, PerEvent};
+use crate::events::EventId;
+use crate::msr::{encode_ctl, MsrDevice, SLOT_COUNT};
 use ppep_types::{Error, Result, Seconds};
 
 /// Multiplexing group membership: which events share counter slots.
@@ -34,7 +34,7 @@ pub enum MuxGroup {
 
 impl MuxGroup {
     /// The events in this group, in slot order.
-    pub fn events(self) -> [EventId; SLOT_COUNT] {
+    pub const fn events(self) -> [EventId; SLOT_COUNT] {
         match self {
             MuxGroup::A => [
                 EventId::RetiredUops,
@@ -62,6 +62,58 @@ impl MuxGroup {
             MuxGroup::A => MuxGroup::B,
             MuxGroup::B => MuxGroup::A,
         }
+    }
+
+    /// The `PERF_CTL` words that program this group's events, enabled,
+    /// in slot order; encoded once, at compile time.
+    fn ctl_words(self) -> [u64; SLOT_COUNT] {
+        const fn encode(events: [EventId; SLOT_COUNT]) -> [u64; SLOT_COUNT] {
+            let [e0, e1, e2, e3, e4, e5] = events;
+            [
+                encode_ctl(e0.code(), true),
+                encode_ctl(e1.code(), true),
+                encode_ctl(e2.code(), true),
+                encode_ctl(e3.code(), true),
+                encode_ctl(e4.code(), true),
+                encode_ctl(e5.code(), true),
+            ]
+        }
+        const A: [u64; SLOT_COUNT] = encode(MuxGroup::A.events());
+        const B: [u64; SLOT_COUNT] = encode(MuxGroup::B.events());
+        match self {
+            MuxGroup::A => A,
+            MuxGroup::B => B,
+        }
+    }
+}
+
+/// Both multiplexing groups, in `Pmu::group_time` order.
+const GROUPS: [MuxGroup; 2] = [MuxGroup::A, MuxGroup::B];
+
+/// 2⁵²: from here up every `f64` is an integer, and below it every
+/// non-negative `f64` plus 2⁵² lands in the binade whose unit in the
+/// last place is exactly 1.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+/// `x.round() as u64` for a count already validated as finite and
+/// non-negative (`-0.0` included), without the libm `round` call below
+/// 2⁵².
+///
+/// For `0 ≤ x < 2⁵²`, `y = x + 2⁵²` rounds `x` to the nearest integer,
+/// ties to even, and holds that integer in its low mantissa bits (`y`
+/// reaches 2⁵³ only when `x` rounds up to 2⁵², where the bit pattern
+/// difference is 2⁵² too). `y - 2⁵²` and `x - (y - 2⁵²)` are exact, so
+/// a difference of exactly ½ marks the one case where ties-to-even
+/// went down and `f64::round`, ties away from zero, goes up. From 2⁵²
+/// up, `x` is integral and `round` returns it unchanged.
+#[inline]
+fn round_count(x: f64) -> u64 {
+    if x < TWO_52 {
+        let y = x + TWO_52;
+        let even = y.to_bits() - TWO_52.to_bits();
+        even + u64::from(x - (y - TWO_52) == 0.5)
+    } else {
+        x.round() as u64
     }
 }
 
@@ -92,9 +144,12 @@ pub struct Pmu {
     device: MsrDevice,
     active_group: MuxGroup,
     /// Raw counts accumulated per event since the last drain.
-    accumulated: [u64; EVENT_COUNT],
-    /// Seconds each event's group was live since the last drain.
-    active_time: [f64; EVENT_COUNT],
+    accumulated: PerEvent<u64>,
+    /// Seconds each group was live since the last drain, in
+    /// [`GROUPS`] order. Every event of a group accumulates the
+    /// same `dt` sequence, so one sum per group is each event's active
+    /// time to the bit.
+    group_time: [f64; 2],
     /// Total wall time since the last drain.
     total_time: f64,
     /// Counter values at the start of the current programming, used to
@@ -109,8 +164,8 @@ impl Pmu {
         let mut pmu = Self {
             device: MsrDevice::new(),
             active_group: MuxGroup::A,
-            accumulated: [0; EVENT_COUNT],
-            active_time: [0.0; EVENT_COUNT],
+            accumulated: PerEvent::splat(0),
+            group_time: [0.0; 2],
             total_time: 0.0,
             slot_baseline: [0; SLOT_COUNT],
             multiplexing: true,
@@ -164,69 +219,79 @@ impl Pmu {
     /// missed deadline) the accumulators cover an unknown span; a
     /// supervisor calls this before resuming sampling.
     pub fn reset_interval(&mut self) {
-        self.accumulated = [0; EVENT_COUNT];
-        self.active_time = [0.0; EVENT_COUNT];
+        self.accumulated = PerEvent::splat(0);
+        self.group_time = [0.0; 2];
         self.total_time = 0.0;
         self.program_active_group();
     }
 
     fn program_active_group(&mut self) {
+        self.device.program_all(self.active_group.ctl_words());
         // Backstage peek: baseline re-sync is simulator bookkeeping,
         // not a modelled msr-tools read, so injected read failures
         // must not corrupt it.
-        self.slot_baseline = self.device.program_all(self.active_group.events());
+        self.slot_baseline = self.device.peek_all();
     }
 
     /// Feeds one sub-tick of ground-truth event counts into the PMU.
     ///
     /// Only events whose group currently owns the hardware slots
-    /// accumulate (all events when multiplexing is disabled). After
+    /// accumulate (all events when multiplexing is disabled). Each
+    /// count is rounded half away from zero to whole events. After
     /// accounting, the active group toggles, emulating the driver
     /// reprogramming the counters every sample.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidInput`] for non-positive `dt` or
-    /// non-finite/negative counts.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "accumulated/active_time are [_; EventId::COUNT] indexed by EventId::index() < COUNT"
-    )]
+    /// non-finite/negative counts, before anything changes. Returns
+    /// [`Error::MsrReadFailed`] when an injected counter-read failure
+    /// fires; the partial interval is then poisoned and
+    /// [`Pmu::reset_interval`] must run before sampling resumes.
     pub fn tick(&mut self, true_counts: &EventCounts, dt: Seconds) -> Result<()> {
-        if dt.as_secs() <= 0.0 {
+        let dt = dt.as_secs();
+        if dt <= 0.0 {
             return Err(Error::InvalidInput("PMU tick needs positive dt".into()));
         }
-        if !true_counts.is_finite() || !true_counts.is_non_negative() {
+        if !true_counts.is_valid_counts() {
             return Err(Error::InvalidInput(
                 "PMU tick counts must be finite and non-negative".into(),
             ));
         }
-        self.total_time += dt.as_secs();
+        self.total_time += dt;
 
         if self.multiplexing {
             // Only the active group's slots count this sub-tick.
-            let events = self.active_group.events().into_iter().enumerate();
-            for ((slot, event), baseline) in events.zip(&mut self.slot_baseline) {
-                let n = true_counts.get(event).round().max(0.0) as u64;
-                self.device.count_events(slot, n)?;
-                // Read back through the MSR interface, as msr-tools would.
-                let now = self.device.read_slot(slot)?;
+            let group = self.active_group;
+            let events = group.events();
+            let now = self
+                .device
+                .count_and_read_all(events.map(|e| round_count(true_counts[e])))?;
+            for ((event, now), baseline) in events.into_iter().zip(now).zip(&mut self.slot_baseline)
+            {
                 // Counters are 48 bits wide: a mid-interval wrap makes
                 // `now < baseline`, and the delta must be taken modulo
                 // 2⁴⁸ (a plain u64 subtraction would inflate it by
                 // 2⁶⁴ − 2⁴⁸).
-                let delta = now.wrapping_sub(*baseline) & COUNTER_MASK;
+                self.accumulated[event] += now.wrapping_sub(*baseline) & COUNTER_MASK;
+                // The counters are not touched again before the next
+                // tick, so the value just read is the next baseline.
                 *baseline = now;
-                self.accumulated[event.index()] += delta;
-                self.active_time[event.index()] += dt.as_secs();
             }
-            self.active_group = self.active_group.toggled();
-            self.program_active_group();
+            let [time_a, time_b] = &mut self.group_time;
+            *match group {
+                MuxGroup::A => time_a,
+                MuxGroup::B => time_b,
+            } += dt;
+            self.active_group = group.toggled();
+            self.device.program_all(self.active_group.ctl_words());
         } else {
-            for event in ALL_EVENTS {
-                let n = true_counts.get(event).round().max(0.0) as u64;
-                self.accumulated[event.index()] += n;
-                self.active_time[event.index()] += dt.as_secs();
+            let counts = true_counts.as_array();
+            for (acc, &x) in self.accumulated.as_mut_array().iter_mut().zip(counts) {
+                *acc += round_count(x);
+            }
+            for t in &mut self.group_time {
+                *t += dt;
             }
         }
         Ok(())
@@ -236,17 +301,14 @@ impl Pmu {
     /// period and resets the accumulators for the next interval.
     ///
     /// Each event's raw count is scaled by `total_time / active_time`
-    /// — the standard multiplexing extrapolation. Events whose group
-    /// never ran (possible for a 1-tick interval) report zero.
+    /// — the standard multiplexing extrapolation, one division per
+    /// group. Events whose group never ran (possible for a 1-tick
+    /// interval) report zero.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Device`] when no time has elapsed since the
     /// last drain.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "accumulated and active_time are fixed [_; EventId::COUNT] arrays scanned by 0..COUNT"
-    )]
     pub fn drain_interval(&mut self) -> Result<EventCounts> {
         if self.total_time <= 0.0 {
             return Err(Error::Device(
@@ -254,17 +316,16 @@ impl Pmu {
             ));
         }
         let mut out = EventCounts::zero();
-        for event in ALL_EVENTS {
-            let i = event.index();
-            let estimate = if self.active_time[i] > 0.0 {
-                self.accumulated[i] as f64 * (self.total_time / self.active_time[i])
-            } else {
-                0.0
-            };
-            out.set(event, estimate);
+        for (group, &active) in GROUPS.iter().zip(&self.group_time) {
+            if active > 0.0 {
+                let scale = self.total_time / active;
+                for event in group.events() {
+                    out[event] = self.accumulated[event] as f64 * scale;
+                }
+            }
         }
-        self.accumulated = [0; EVENT_COUNT];
-        self.active_time = [0.0; EVENT_COUNT];
+        self.accumulated = PerEvent::splat(0);
+        self.group_time = [0.0; 2];
         self.total_time = 0.0;
         Ok(out)
     }
@@ -279,6 +340,7 @@ impl Default for Pmu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::{ALL_EVENTS, EVENT_COUNT};
 
     fn steady_counts(per_tick: f64) -> EventCounts {
         let mut c = EventCounts::zero();
@@ -286,6 +348,36 @@ mod tests {
             c.set(e, per_tick);
         }
         c
+    }
+
+    #[test]
+    fn round_count_is_libm_round() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            0.5000000000000001,
+            1.5,
+            2.5,
+            TWO_52 - 1.5,
+            TWO_52 - 0.5,
+            TWO_52 - 0.25,
+            TWO_52,
+            TWO_52 + 1.0,
+            2.0 * TWO_52 + 2.0,
+            1.0e19,
+        ];
+        // Every quarter and a nudge either side, across several binades.
+        for k in 0..4096_u32 {
+            for scale in [1.0, 1.0e3, 1.0e9, 1.0e15] {
+                let x = f64::from(k) * 0.25 * scale;
+                values.extend([x, x.next_down().max(0.0), x.next_up()]);
+            }
+        }
+        for x in values {
+            assert_eq!(round_count(x), x.round() as u64, "round({x:e})");
+        }
     }
 
     #[test]

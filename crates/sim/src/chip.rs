@@ -144,6 +144,28 @@ pub struct ChipSimulator {
     /// The thermal decay of one 20 ms sub-tick; the thermal constants
     /// are likewise fixed at construction.
     subtick_decay: f64,
+    /// Working storage of [`ChipSimulator::step_interval_checked`].
+    scratch: StepScratch,
+}
+
+/// The per-interval working storage of
+/// [`ChipSimulator::step_interval_checked`], kept between steps so a
+/// step allocates only the record it returns. Every buffer is cleared
+/// or overwritten before it is read.
+#[derive(Default)]
+struct StepScratch {
+    /// The physics of each CU's VF state this interval.
+    cu_physics: Vec<VfPhysics>,
+    /// The faults scheduled for this interval.
+    faults: Vec<FaultKind>,
+    /// One sensor reading per sub-tick.
+    sensor_readings: Vec<f64>,
+    /// Each core's true event counts in the current sub-tick.
+    subtick_counts: Vec<EventCounts>,
+    /// Each core's true dynamic power in the current sub-tick, watts.
+    core_dynamic: Vec<f64>,
+    /// Whether each CU holds a busy thread in the current sub-tick.
+    cu_busy: Vec<bool>,
 }
 
 impl ChipSimulator {
@@ -188,6 +210,13 @@ impl ChipSimulator {
             recorder: RecorderHandle::noop(),
             vf_physics,
             subtick_decay: config.thermal.decay(POWER_SAMPLE_PERIOD),
+            scratch: StepScratch {
+                sensor_readings: Vec::with_capacity(SAMPLES_PER_INTERVAL),
+                subtick_counts: vec![EventCounts::zero(); cores],
+                core_dynamic: vec![0.0; cores],
+                cu_busy: vec![false; config.topology.cu_count()],
+                ..StepScratch::default()
+            },
             config,
         }
     }
@@ -432,32 +461,49 @@ impl ChipSimulator {
     /// and the next interval can be stepped normally. Returns
     /// [`Error::UnknownVfState`] before anything advances when a CU
     /// holds a state outside this chip's VF ladder.
+    pub fn step_interval_checked(&mut self) -> Result<IntervalRecord> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let record = self.step_with(&mut scratch);
+        self.scratch = scratch;
+        record
+    }
+
+    /// [`ChipSimulator::step_interval_checked`] on the given working
+    /// storage.
     #[expect(
         clippy::indexing_slicing,
-        reason = "core and cu range over the topology counts that size slots, samplers, cu_vf, cu_physics (one entry per cu_vf) and every per-interval vector"
+        reason = "core and cu range over the topology counts that size slots, samplers, cu_vf, cu_physics (one entry per cu_vf) and every per-interval and scratch vector"
     )]
-    pub fn step_interval_checked(&mut self) -> Result<IntervalRecord> {
-        let cu_physics = self
-            .cu_vf
-            .iter()
-            .map(|vf| {
-                self.vf_physics
-                    .get(vf.index())
-                    .copied()
-                    .ok_or(Error::UnknownVfState {
-                        index: vf.index(),
-                        len: self.vf_physics.len(),
-                    })
-            })
-            .collect::<Result<Vec<VfPhysics>>>()?;
-        let faults: Vec<FaultKind> = self.faults.kinds_at(self.interval.0).collect();
+    fn step_with(&mut self, scratch: &mut StepScratch) -> Result<IntervalRecord> {
+        let StepScratch {
+            cu_physics,
+            faults,
+            sensor_readings,
+            subtick_counts,
+            core_dynamic,
+            cu_busy,
+        } = scratch;
+        cu_physics.clear();
+        for vf in &self.cu_vf {
+            let at = self
+                .vf_physics
+                .get(vf.index())
+                .ok_or(Error::UnknownVfState {
+                    index: vf.index(),
+                    len: self.vf_physics.len(),
+                })?;
+            cu_physics.push(*at);
+        }
+        faults.clear();
+        faults.extend(self.faults.kinds_at(self.interval.0));
+        sensor_readings.clear();
         if self.recorder.enabled() {
-            for k in &faults {
+            for k in faults.iter() {
                 self.recorder.incr("fault.injected");
                 self.recorder.incr(&format!("fault.injected.{}", k.name()));
             }
         }
-        for k in &faults {
+        for k in faults.iter() {
             match *k {
                 FaultKind::CounterWrap => {
                     // Park every counter 1000 events below the wrap
@@ -492,16 +538,19 @@ impl ChipSimulator {
 
         let mut true_totals = vec![EventCounts::zero(); cores];
         let mut busy_any = vec![false; cores];
-        let mut sensor_readings = Vec::with_capacity(SAMPLES_PER_INTERVAL);
-        let mut samples: Vec<Option<IntervalSample>> = vec![None; cores];
+        // Every sampler completes its interval on the last sub-tick; a
+        // core that somehow did not reports zero counts.
+        let mut samples = vec![
+            IntervalSample {
+                counts: EventCounts::zero(),
+                duration: ppep_types::time::DECISION_INTERVAL,
+            };
+            cores
+        ];
         let mut acc_core_dyn = vec![0.0_f64; cores];
         let mut acc_cu_idle = vec![0.0_f64; cus];
         let mut acc_nb_dyn = 0.0_f64;
         let mut acc_nb_idle = 0.0_f64;
-        // Per-sub-tick state, overwritten every sub-tick.
-        let mut subtick_counts = vec![EventCounts::zero(); cores];
-        let mut switching = vec![1.0_f64; cores];
-        let mut cu_busy = vec![false; cus];
 
         for _sub in 0..SAMPLES_PER_INTERVAL {
             let tf = physics.temperature_factors(self.thermal.temperature());
@@ -510,32 +559,42 @@ impl ChipSimulator {
             let mut total_misses = 0.0;
 
             for core in 0..cores {
-                let cu = core / per_cu;
+                let at = &cu_physics[core / per_cu];
                 let ctx = ExecutionContext {
-                    vf: cu_physics[cu].point(),
+                    vf: at.point(),
                     issue_width,
                     mispredict_penalty,
                     contention,
                     nb_latency_factor: nb_latency,
                 };
-                switching[core] = 1.0;
+                // A core that retires nothing counts nothing, and the
+                // generative model turns all-zero counts into ±0 W
+                // (`physics::tests::zero_counts_draw_zero_dynamic_power`):
+                // adding that to the power sums changes no bit, so its
+                // dynamic power is left at zero without evaluating it.
+                core_dynamic[core] = 0.0;
                 let counts = if let Some(slot) = self.slots[core].as_mut() {
                     if slot.cursor.is_finished() {
                         EventCounts::zero()
                     } else {
-                        let fp = *slot.cursor.fingerprint(&slot.program);
-                        switching[core] = fp.switching_factor;
-                        let plan = plan_subtick(&fp, &ctx, dt);
+                        let fp = slot.cursor.fingerprint(&slot.program);
+                        let plan = plan_subtick(fp, &ctx, dt);
                         let executed = slot.cursor.advance(&slot.program, plan.instructions);
                         if executed > 0.0 {
                             busy_any[core] = true;
-                            event_counts(
-                                &fp,
-                                &ctx,
+                            let counts = event_counts(
+                                fp,
+                                &plan,
                                 executed,
                                 self.config.jitter_sigma,
                                 &mut self.rng,
-                            )
+                            );
+                            // Data-dependent switching intensity is
+                            // invisible to any counter-based model; it
+                            // only scales true power.
+                            core_dynamic[core] = fp.switching_factor
+                                * physics.core_dynamic(&counts, at, &tf, dt).as_watts();
+                            counts
                         } else {
                             EventCounts::zero()
                         }
@@ -548,14 +607,18 @@ impl ChipSimulator {
                 subtick_counts[core] = counts;
             }
 
-            self.nb.observe_traffic(total_misses, dt);
+            self.nb.observe_miss_rate(total_misses / dt.as_secs());
             for (busy, cu_slots) in cu_busy.iter_mut().zip(self.slots.chunks(per_cu)) {
                 *busy = cu_slots.iter().any(slot_busy);
             }
 
             // True power for this sub-tick.
             let mut subtick_power = physics.base_power;
-            for ((acc, at), &busy) in acc_cu_idle.iter_mut().zip(&cu_physics).zip(&cu_busy) {
+            for ((acc, at), &busy) in acc_cu_idle
+                .iter_mut()
+                .zip(cu_physics.iter())
+                .zip(cu_busy.iter())
+            {
                 let idle = physics.cu_idle(at, &tf).as_watts();
                 let w = if power_gating && !busy {
                     idle * physics.pg_residual
@@ -577,16 +640,8 @@ impl ChipSimulator {
             acc_nb_idle += nb_idle_w;
             subtick_power += nb_idle_w;
 
-            for core in 0..cores {
-                let cu = core / per_cu;
-                let at = &cu_physics[cu];
-                // Data-dependent switching intensity is invisible to
-                // any counter-based model; it only scales true power.
-                let w = switching[core]
-                    * physics
-                        .core_dynamic(&subtick_counts[core], at, &tf, dt)
-                        .as_watts();
-                acc_core_dyn[core] += w;
+            for (acc, &w) in acc_core_dyn.iter_mut().zip(core_dynamic.iter()) {
+                *acc += w;
                 subtick_power += w;
             }
             let nb_dyn = physics
@@ -602,7 +657,7 @@ impl ChipSimulator {
             // PMU sees the sub-tick.
             for core in 0..cores {
                 match self.samplers[core].tick(&subtick_counts[core]) {
-                    Ok(Some(sample)) => samples[core] = Some(sample),
+                    Ok(Some(sample)) => samples[core] = sample,
                     Ok(None) => {}
                     Err(e) => {
                         // A mid-interval MSR failure poisons the whole
@@ -622,7 +677,7 @@ impl ChipSimulator {
         // Corrupting faults reshape the finished observables; erroring
         // faults discard them. Truth (power breakdown, counts) is
         // never touched — experiments grade against it.
-        for k in &faults {
+        for k in faults.iter() {
             match *k {
                 FaultKind::SensorSpike { factor } => sensor_readings[0] *= factor,
                 FaultKind::SensorStuck => {
@@ -640,7 +695,7 @@ impl ChipSimulator {
             }
         }
         let mut reported_temperature = self.thermal.temperature();
-        for k in &faults {
+        for k in faults.iter() {
             match *k {
                 FaultKind::ThermalNan => reported_temperature = Kelvin::new(f64::NAN),
                 FaultKind::ThermalFrozen => {
@@ -662,7 +717,7 @@ impl ChipSimulator {
         let index = self.interval;
         self.interval = self.interval.next();
 
-        for k in &faults {
+        for k in faults.iter() {
             match *k {
                 FaultKind::SensorDropout => {
                     return Err(ppep_types::Error::SensorDropout {
@@ -685,15 +740,7 @@ impl ChipSimulator {
         Ok(IntervalRecord {
             index,
             duration: ppep_types::time::DECISION_INTERVAL,
-            samples: samples
-                .into_iter()
-                .map(|s| {
-                    s.unwrap_or(ppep_pmc::sampler::IntervalSample {
-                        counts: ppep_pmc::counts::EventCounts::zero(),
-                        duration: ppep_types::time::DECISION_INTERVAL,
-                    })
-                })
-                .collect(),
+            samples,
             true_counts: true_totals,
             measured_power: Watts::new(sensor_readings.iter().sum::<f64>() / n),
             true_power: PowerBreakdown {

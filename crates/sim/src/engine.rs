@@ -33,8 +33,10 @@ pub struct ExecutionContext {
 /// What a fully-busy sub-tick would execute.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TickPlan {
-    /// Total CPI at these conditions.
+    /// Total CPI at these conditions: core CPI plus memory CPI.
     pub cpi: f64,
+    /// The memory-CPI part of `cpi`.
+    pub memory_cpi: f64,
     /// Instructions the core can retire in the sub-tick.
     pub instructions: f64,
     /// Unhalted cycles available in the sub-tick.
@@ -49,30 +51,29 @@ pub struct TickPlan {
 /// Panics (debug) if the fingerprint fails validation.
 pub fn plan_subtick(fp: &PhaseFingerprint, ctx: &ExecutionContext, dt: Seconds) -> TickPlan {
     debug_assert!(fp.validate().is_ok());
-    let cpi = fp.total_cpi(
-        ctx.vf.frequency,
-        ctx.issue_width,
-        ctx.mispredict_penalty,
-        ctx.contention,
-        ctx.nb_latency_factor,
-    );
+    // `PhaseFingerprint::total_cpi`, with its memory term kept for
+    // `event_counts`.
+    let memory_cpi = fp.memory_cpi(ctx.vf.frequency, ctx.contention, ctx.nb_latency_factor);
+    let cpi = fp.core_cpi(ctx.issue_width, ctx.mispredict_penalty) + memory_cpi;
     let cycles = ctx.vf.frequency.cycles_in(dt);
     TickPlan {
         cpi,
+        memory_cpi,
         instructions: cycles / cpi,
         cycles,
     }
 }
 
 /// Computes the event counts produced by retiring `instructions`
-/// instructions of this fingerprint under `ctx`.
+/// instructions of this fingerprint under the conditions `plan` was
+/// made for.
 ///
 /// `jitter` adds per-event multiplicative noise (σ as a fraction;
 /// pass 0 for exact counts) modelling cycle-level variability that the
 /// fingerprint abstraction averages away.
 pub fn event_counts(
     fp: &PhaseFingerprint,
-    ctx: &ExecutionContext,
+    plan: &TickPlan,
     instructions: f64,
     jitter_sigma: f64,
     rng: &mut StdRng,
@@ -84,15 +85,7 @@ pub fn event_counts(
             v
         }
     };
-    let mcpi = fp.memory_cpi(ctx.vf.frequency, ctx.contention, ctx.nb_latency_factor);
-    let stall_cpi = fp.dispatch_stall_cpi(ctx.vf.frequency, ctx.contention, ctx.nb_latency_factor);
-    let total_cpi = fp.total_cpi(
-        ctx.vf.frequency,
-        ctx.issue_width,
-        ctx.mispredict_penalty,
-        ctx.contention,
-        ctx.nb_latency_factor,
-    );
+    let stall_cpi = fp.dispatch_stall_cpi_with(plan.memory_cpi);
 
     let mut c = EventCounts::zero();
     c.set(
@@ -130,9 +123,9 @@ pub fn event_counts(
     c.set(EventId::DispatchStalls, jitter(stall_cpi * instructions));
     // The performance events are exact: clocks and retired counts are
     // architectural, not sampled estimates.
-    c.set(EventId::CpuClocksNotHalted, total_cpi * instructions);
+    c.set(EventId::CpuClocksNotHalted, plan.cpi * instructions);
     c.set(EventId::RetiredInstructions, instructions);
-    c.set(EventId::MabWaitCycles, mcpi * instructions);
+    c.set(EventId::MabWaitCycles, plan.memory_cpi * instructions);
     c
 }
 
@@ -142,6 +135,10 @@ mod tests {
     use ppep_types::{Gigahertz, Volts};
     use rand::SeedableRng;
 
+    fn plan(fp: &PhaseFingerprint, ctx: &ExecutionContext) -> TickPlan {
+        plan_subtick(fp, ctx, Seconds::new(0.02))
+    }
+
     fn ctx(f: f64) -> ExecutionContext {
         ExecutionContext {
             vf: VfPoint::new(Volts::new(1.32), Gigahertz::new(f)),
@@ -150,6 +147,37 @@ mod tests {
             contention: 1.0,
             nb_latency_factor: 1.0,
         }
+    }
+
+    #[test]
+    fn plan_and_counts_match_the_fingerprint_formulas_to_the_bit() {
+        let fp = PhaseFingerprint {
+            mcpi_ref: 0.7,
+            ..Default::default()
+        };
+        let mut c = ctx(2.9);
+        c.contention = 1.37;
+        c.nb_latency_factor = 1.5;
+        let f = c.vf.frequency;
+        let p = plan(&fp, &c);
+        let total = fp.total_cpi(f, 4.0, 20.0, 1.37, 1.5);
+        assert_eq!(p.cpi.to_bits(), total.to_bits());
+        let mcpi = fp.memory_cpi(f, 1.37, 1.5);
+        assert_eq!(p.memory_cpi.to_bits(), mcpi.to_bits());
+        let counts = event_counts(&fp, &p, 1.0e6, 0.0, &mut StdRng::seed_from_u64(5));
+        let stalls = fp.dispatch_stall_cpi(f, 1.37, 1.5) * 1.0e6;
+        assert_eq!(
+            counts.get(EventId::DispatchStalls).to_bits(),
+            stalls.to_bits()
+        );
+        assert_eq!(
+            counts.get(EventId::CpuClocksNotHalted).to_bits(),
+            (total * 1.0e6).to_bits()
+        );
+        assert_eq!(
+            counts.get(EventId::MabWaitCycles).to_bits(),
+            (mcpi * 1.0e6).to_bits()
+        );
     }
 
     #[test]
@@ -210,7 +238,7 @@ mod tests {
         };
         let c = ctx(2.3);
         let mut rng = StdRng::seed_from_u64(1);
-        let counts = event_counts(&fp, &c, 1.0e6, 0.0, &mut rng);
+        let counts = event_counts(&fp, &plan(&fp, &c), 1.0e6, 0.0, &mut rng);
         let inst = counts.get(EventId::RetiredInstructions);
         let unhalted = counts.get(EventId::CpuClocksNotHalted);
         let stalls = counts.get(EventId::DispatchStalls);
@@ -233,8 +261,8 @@ mod tests {
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(2);
-        let hi = event_counts(&fp, &ctx(3.5), 1e6, 0.0, &mut rng);
-        let lo = event_counts(&fp, &ctx(1.7), 2e6, 0.0, &mut rng);
+        let hi = event_counts(&fp, &plan(&fp, &ctx(3.5)), 1e6, 0.0, &mut rng);
+        let lo = event_counts(&fp, &plan(&fp, &ctx(1.7)), 2e6, 0.0, &mut rng);
         let hi_pi = hi.per_instruction().unwrap();
         let lo_pi = lo.per_instruction().unwrap();
         for e in [
@@ -262,7 +290,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(3);
         let mut gap = |f: f64| {
-            let counts = event_counts(&fp, &ctx(f), 1e6, 0.0, &mut rng);
+            let counts = event_counts(&fp, &plan(&fp, &ctx(f)), 1e6, 0.0, &mut rng);
             counts.cpi().unwrap() - counts.dispatch_stalls_per_inst().unwrap()
         };
         let drift = (gap(3.5) - gap(1.7)).abs() / gap(3.5);
@@ -274,8 +302,8 @@ mod tests {
         let fp = PhaseFingerprint::default();
         let c = ctx(3.5);
         let mut rng = StdRng::seed_from_u64(4);
-        let exact = event_counts(&fp, &c, 1e6, 0.0, &mut rng);
-        let noisy = event_counts(&fp, &c, 1e6, 0.01, &mut rng);
+        let exact = event_counts(&fp, &plan(&fp, &c), 1e6, 0.0, &mut rng);
+        let noisy = event_counts(&fp, &plan(&fp, &c), 1e6, 0.01, &mut rng);
         // Architectural counts stay exact.
         assert_eq!(
             exact.get(EventId::RetiredInstructions),

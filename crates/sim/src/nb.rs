@@ -16,7 +16,6 @@
 //! traffic↔latency feedback loop settles instead of oscillating.
 
 use ppep_types::vf::NbVfState;
-use ppep_types::Seconds;
 
 /// Contention state of the shared north bridge.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,7 +55,7 @@ impl NorthBridge {
     }
 
     /// The memory-latency multiplier from contention, computed by the
-    /// most recent [`NorthBridge::observe_traffic`] call (1.0 before
+    /// most recent [`NorthBridge::observe_miss_rate`] call (1.0 before
     /// any traffic).
     pub fn contention_multiplier(&self) -> f64 {
         self.last_multiplier
@@ -82,15 +81,11 @@ impl NorthBridge {
         }
     }
 
-    /// Records the chip-wide L2-miss count of the elapsed sub-tick and
-    /// updates the contention multiplier used for the next one.
-    ///
-    /// # Panics
-    ///
-    /// Panics for non-positive `dt`.
-    pub fn observe_traffic(&mut self, total_l2_misses: f64, dt: Seconds) {
-        assert!(dt.as_secs() > 0.0, "sub-tick must have positive length");
-        let rate = (total_l2_misses / dt.as_secs()).max(0.0);
+    /// Records the chip-wide L2-miss rate of the elapsed sub-tick, in
+    /// misses per second, and updates the contention multiplier used
+    /// for the next one. A negative or NaN rate counts as no traffic.
+    pub fn observe_miss_rate(&mut self, misses_per_second: f64) {
+        let rate = misses_per_second.max(0.0);
         let u = (rate / self.effective_capacity()).min(self.max_utilization);
         let instantaneous = 1.0 + self.gamma * u * u;
         // Half-life of one sub-tick: damps the traffic↔latency loop.
@@ -117,17 +112,16 @@ mod tests {
     fn no_traffic_no_contention() {
         let mut nb = NorthBridge::fx8320();
         assert_eq!(nb.contention_multiplier(), 1.0);
-        nb.observe_traffic(0.0, Seconds::new(0.02));
+        nb.observe_miss_rate(0.0);
         assert_eq!(nb.contention_multiplier(), 1.0);
     }
 
     #[test]
     fn contention_grows_with_traffic() {
         let mut nb = NorthBridge::fx8320();
-        let dt = Seconds::new(0.02);
-        nb.observe_traffic(0.25 * nb.capacity * dt.as_secs(), dt);
+        nb.observe_miss_rate(0.25 * nb.capacity);
         let low = nb.contention_multiplier();
-        nb.observe_traffic(0.8 * nb.capacity * dt.as_secs(), dt);
+        nb.observe_miss_rate(0.8 * nb.capacity);
         let high = nb.contention_multiplier();
         assert!(low > 1.0 && high > low, "{low} then {high}");
     }
@@ -135,10 +129,9 @@ mod tests {
     #[test]
     fn utilisation_is_capped() {
         let mut nb = NorthBridge::fx8320();
-        let dt = Seconds::new(0.02);
         // Saturate: with U capped at 1, the EMA converges to 1 + γ.
         for _ in 0..50 {
-            nb.observe_traffic(100.0 * nb.capacity * dt.as_secs(), dt);
+            nb.observe_miss_rate(100.0 * nb.capacity);
         }
         let m = nb.contention_multiplier();
         assert!((m - (1.0 + nb.gamma)).abs() < 1e-6, "capped multiplier {m}");
@@ -147,9 +140,8 @@ mod tests {
     #[test]
     fn ema_smooths_the_feedback_loop() {
         let mut nb = NorthBridge::fx8320();
-        let dt = Seconds::new(0.02);
         // One huge burst only partially moves the multiplier.
-        nb.observe_traffic(100.0 * nb.capacity * dt.as_secs(), dt);
+        nb.observe_miss_rate(100.0 * nb.capacity);
         let after_one = nb.contention_multiplier();
         assert!(after_one < 1.0 + nb.gamma, "one sample must not saturate");
         assert!(after_one > 1.5, "but must move substantially");
@@ -163,12 +155,11 @@ mod tests {
         assert_eq!(nb.latency_factor(), 1.5);
         assert!((nb.effective_capacity() - nb.capacity * 0.5).abs() < 1e-9);
         // Same traffic congests more at the low point.
-        let dt = Seconds::new(0.02);
-        let traffic = 0.4 * nb.capacity * dt.as_secs();
-        nb.observe_traffic(traffic, dt);
+        let traffic = 0.4 * nb.capacity;
+        nb.observe_miss_rate(traffic);
         let low_mult = nb.contention_multiplier();
         nb.set_state(NbVfState::High);
-        nb.observe_traffic(traffic, dt);
+        nb.observe_miss_rate(traffic);
         let high_mult = nb.contention_multiplier();
         assert!(low_mult > high_mult);
     }
@@ -176,16 +167,18 @@ mod tests {
     #[test]
     fn reset_clears_contention() {
         let mut nb = NorthBridge::fx8320();
-        let dt = Seconds::new(0.02);
-        nb.observe_traffic(0.9 * nb.capacity * dt.as_secs(), dt);
+        nb.observe_miss_rate(0.9 * nb.capacity);
         assert!(nb.contention_multiplier() > 1.0);
         nb.reset();
         assert_eq!(nb.contention_multiplier(), 1.0);
     }
 
     #[test]
-    #[should_panic(expected = "positive length")]
-    fn zero_dt_rejected() {
-        NorthBridge::fx8320().observe_traffic(1.0, Seconds::new(0.0));
+    fn negative_or_nan_rate_is_no_traffic() {
+        let mut nb = NorthBridge::fx8320();
+        for rate in [-1.0e9, f64::NEG_INFINITY, f64::NAN, -0.0] {
+            nb.observe_miss_rate(rate);
+            assert_eq!(nb.contention_multiplier(), 1.0, "rate {rate}");
+        }
     }
 }

@@ -389,6 +389,25 @@ mod tests {
     }
 
     #[test]
+    fn zero_counts_draw_zero_dynamic_power() {
+        // The chip skips this evaluation for a core that retired
+        // nothing; that is exact only because the result is a zero.
+        for p in [PowerPhysics::fx8320(), PowerPhysics::phenom_ii_x6()] {
+            for (_, point) in VfTable::fx8320_with_boost().iter() {
+                for kelvin in [250.0, 300.0, 360.0] {
+                    let w = p.core_dynamic(
+                        &EventCounts::zero(),
+                        &p.at(point),
+                        &temp(&p, kelvin),
+                        Seconds::new(0.02),
+                    );
+                    assert_eq!(w.as_watts(), 0.0);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn core_dynamic_magnitude_for_busy_core() {
         // A CPU-bound core at VF5: ~3.5e9 inst/s with typical rates.
         let p = PowerPhysics::fx8320();

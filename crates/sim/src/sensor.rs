@@ -101,7 +101,8 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - truth).abs() < 0.2, "sensor bias {mean} vs {truth}");
-        // sigma ≈ sqrt((0.012*95)^2 + 0.4^2) ≈ 1.21 W; 6 sigma bound.
+        // sigma ≈ sqrt((0.018*95)^2 + 0.5^2) ≈ 1.78 W; the 8 W bound
+        // is ≈ 4.5 sigma.
         assert!(max_err < 8.0, "outlier {max_err} W");
         assert!(max_err > 0.5, "noise must actually be present");
     }
